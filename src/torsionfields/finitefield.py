@@ -1,10 +1,12 @@
 """Finite field arithmetic: F_p, dense extensions F_{p^n}, quadratic liftings.
 
-Everything here is sized for torsion-field work: base primes p < 2^8 and
-extension degrees up to a couple hundred.  Polynomials are numpy int64
-coefficient vectors (lowest degree first, reduced mod p), so convolution
-products and reduction-matrix contractions stay far below 2^63 and a single
-``% p`` at the end of each operation suffices.
+Polynomials are numpy int64 coefficient vectors (lowest degree first, reduced
+mod p).  All products modulo a polynomial go through one kernel, ``ModRing``:
+a convolution, a ``% p``, and a contraction of the high half against the
+precomputed rows x^{n+i} mod g.  Every dot product it forms has at most n
+terms below p, so it stays exact while n (p - 1)^2 < 2^63; ``ModRing``
+refuses larger moduli, and ``torsion.torsion_data`` refuses q above the bound
+for n = 84, the degree of its largest modulus (q <= 331363921).
 
 The three field classes (PrimeField, ExtField, QuadExt) expose one duck-typed
 protocol used by the curve/torsion layers:
@@ -132,18 +134,19 @@ def poly_make_monic(a: np.ndarray, p: int) -> np.ndarray:
 
 def poly_divmod(a: np.ndarray, g: np.ndarray, p: int):
     """Quotient and remainder by monic g."""
-    a = poly_trim(a % p).copy()
     n = poly_deg(g)
     assert n >= 0 and int(g[n]) == 1
-    if poly_deg(a) < n:
+    a = poly_trim(a % p)
+    if len(a) <= n:
         return np.zeros(1, dtype=np.int64), a
-    q = np.zeros(poly_deg(a) - n + 1, dtype=np.int64)
-    while poly_deg(a) >= n:
-        d = poly_deg(a)
+    g = g[: n + 1]
+    q = np.zeros(len(a) - n, dtype=np.int64)
+    for d in range(len(a) - 1, n - 1, -1):
         coef = int(a[d])
-        q[d - n] = coef
-        a[d - n : d + 1] = (a[d - n : d + 1] - coef * g[: n + 1]) % p
-    return q, poly_trim(a)
+        if coef:
+            q[d - n] = coef
+            a[d - n : d + 1] = (a[d - n : d + 1] - coef * g) % p
+    return q, poly_trim(a[:n])
 
 
 def poly_mod(a: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
@@ -184,15 +187,59 @@ def poly_eea_inverse(a: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
 
 
 def poly_pow_mod(a: np.ndarray, e: int, g: np.ndarray, p: int) -> np.ndarray:
-    assert e >= 0
-    result = np.ones(1, dtype=np.int64)
-    base = poly_mod(a, g, p)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), g, p)
-        base = poly_mod(poly_mul(base, base, p), g, p)
-        e >>= 1
-    return result
+    return ModRing(g, p).pow(a, e)
+
+
+class ModRing:
+    """F_p[x]/(g) for monic g of degree n, on length-n int64 vectors.
+
+    A product is a convolution reduced mod p whose high half is contracted
+    against the rows x^{n+i} mod g (i < n - 1), then reduced again: every dot
+    product has at most n terms below (p - 1)^2 (von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, ch. 8).
+    """
+
+    def __init__(self, g: np.ndarray, p: int):
+        n = poly_deg(g)
+        if n * (p - 1) ** 2 >= 2**63:
+            raise OverflowError(f"F_{p}[x] modulo degree {n} overflows int64")
+        self.g, self.p, self.n = g, p, n
+        self.rows = np.zeros((max(n - 1, 0), n), dtype=np.int64)
+        top = (-g[:n]) % p  # x^n mod g
+        cur = top
+        for i in range(n - 1):
+            self.rows[i] = cur
+            cur = (np.concatenate(([0], cur[:-1])) + int(cur[-1]) * top) % p
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        """Length-n residue of any polynomial a."""
+        r = poly_mod(a, self.g, self.p)
+        out = np.zeros(self.n, dtype=np.int64)
+        out[: len(r)] = r
+        return out
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c = np.convolve(a, b) % self.p
+        return (c[: self.n] + c[self.n :] @ self.rows) % self.p
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e mod g, trimmed."""
+        assert e >= 0
+        result = self.reduce(np.ones(1, dtype=np.int64))
+        base = self.reduce(a)
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return poly_trim(result)
+
+
+def is_square_mod(t: np.ndarray, g: np.ndarray, p: int) -> bool:
+    """Is t a nonzero square in the field F_p[x]/(g), g monic irreducible?"""
+    s = poly_pow_mod(t, (p ** poly_deg(g) - 1) // 2, g, p)
+    return len(s) == 1 and int(s[0]) == 1
 
 
 def poly_eval(a: np.ndarray, x: int, p: int) -> int:
@@ -271,18 +318,20 @@ def factor_squarefree(g: np.ndarray, p: int, rng: random.Random) -> list[np.ndar
     out: list[np.ndarray] = []
     h = _X.copy()
     rest = g
+    ring = ModRing(rest, p)
     d = 0
     while poly_deg(rest) > 0:
         d += 1
         if 2 * d > poly_deg(rest):
             out.append(rest)
             break
-        h = poly_pow_mod(h, p, rest, p)
+        h = ring.pow(h, p)
         part = poly_gcd(_poly_sub_x(h) % p, rest, p)
         if poly_deg(part) > 0:
             out.extend(_equal_degree_split(part, d, p, rng))
             rest = poly_divmod(rest, part, p)[0]
             rest = poly_make_monic(rest, p)
+            ring = ModRing(rest, p)
             h = poly_mod(h, rest, p)
     out.sort(key=lambda f: (poly_deg(f), tuple(int(c) for c in f)))
     return out
@@ -426,8 +475,7 @@ class PrimeFieldElement:
 class ExtField:
     """F_p[x]/(g) for monic irreducible g of degree n >= 2.
 
-    Multiplication is convolution plus a contraction against the precomputed
-    reduction matrix R (row i = x^{n+i} mod g); the p-power Frobenius is a
+    Multiplication is the ``ModRing`` kernel; the p-power Frobenius is a
     precomputed n x n matrix so that subfield membership questions are single
     mat-vec products.
     """
@@ -440,19 +488,7 @@ class ExtField:
         assert self.degree >= 2
         if check_irreducible:
             assert poly_is_irreducible(g, p), "modulus must be irreducible"
-        n = self.degree
-        # reduction rows: x^{n+i} mod g for i = 0..n-2
-        rows = np.zeros((n - 1, n), dtype=np.int64)
-        top = (-g[:n]) % p  # x^n mod g
-        cur = top.copy()
-        rows[0] = cur
-        for i in range(1, n - 1):
-            nxt = np.zeros(n, dtype=np.int64)
-            nxt[1:] = cur[: n - 1]
-            nxt = (nxt + int(cur[n - 1]) * top) % p
-            rows[i] = nxt
-            cur = nxt
-        self._red = rows
+        self._ring = ModRing(g, p)
         self._frob_mats: dict[int, np.ndarray] = {}
 
     # -- element plumbing ---------------------------------------------------
@@ -489,14 +525,6 @@ class ExtField:
 
     # -- arithmetic kernels -------------------------------------------------
 
-    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        c = np.convolve(a, b)
-        n = self.degree
-        res = c[:n].copy()
-        if len(c) > n:
-            res = res + c[n:] @ self._red
-        return res % self.p
-
     def _inv(self, a: np.ndarray) -> np.ndarray:
         inv = poly_eea_inverse(poly_trim(a), self.modulus, self.p)
         out = np.zeros(self.degree, dtype=np.int64)
@@ -516,15 +544,13 @@ class ExtField:
         if k == 0:
             m = np.eye(n, dtype=np.int64)
         elif 1 not in self._frob_mats:
-            xp = poly_pow_mod(_X, p, self.modulus, p)
+            ring = self._ring
+            xp = ring.reduce(ring.pow(_X, p))
             m = np.zeros((n, n), dtype=np.int64)
             m[0, 0] = 1
-            col = np.zeros(n, dtype=np.int64)
-            col[0] = 1
-            xp_full = np.zeros(n, dtype=np.int64)
-            xp_full[: len(xp)] = xp
+            col = m[:, 0]
             for j in range(1, n):
-                col = self._mul(col, xp_full)
+                col = ring.mul(col, xp)
                 m[:, j] = col
             self._frob_mats[1] = m
             if k != 1:
@@ -583,7 +609,7 @@ class ExtFieldElement:
         return ExtFieldElement(self.field, (-self.c) % self.field.p)
 
     def __mul__(self, other):
-        return ExtFieldElement(self.field, self.field._mul(self.c, other.c))
+        return ExtFieldElement(self.field, self.field._ring.mul(self.c, other.c))
 
     def inverse(self):
         return ExtFieldElement(self.field, self.field._inv(self.c))

@@ -43,9 +43,8 @@ from .curve import DivisionPolynomials, count_points_prime, discriminant
 from .finitefield import (
     factor_squarefree,
     is_prime,
+    is_square_mod,
     poly_deg,
-    poly_divmod,
-    poly_pow_mod,
     poly_roots,
 )
 from .gl2 import (
@@ -93,14 +92,6 @@ def good_primes(A: Fraction, B: Fraction, m: int):
 # ---------------------------------------------------------------------------
 
 
-def _is_square_in_factor_field(num, g, p: int) -> bool:
-    """Is (num mod g) a square in the field F_p[x]/(g)?  num must not vanish."""
-    d = poly_deg(g)
-    e = (p**d - 1) // 2
-    s = poly_pow_mod(poly_divmod(num, g, p)[1], e, g, p)
-    return poly_deg(s) == 0 and int(s[0]) == 1
-
-
 def frobenius_fingerprint(ell: int, A: Fraction, B: Fraction, m: int):
     """(trace a_ell, order n_ell, fingerprint tuple) of Frobenius mod ell.
 
@@ -125,7 +116,7 @@ def frobenius_fingerprint(ell: int, A: Fraction, B: Fraction, m: int):
         for g in factor_squarefree(poly, ell, random.Random(0)):
             d = poly_deg(g)
             main_degs.append(d)
-            if _is_square_in_factor_field(dp.curve_poly, g, ell):
+            if is_square_mod(dp.curve_poly, g, ell):
                 vec_degs.extend((d, d))
             else:
                 vec_degs.append(2 * d)

@@ -34,14 +34,18 @@ from .finitefield import (
     factor_squarefree,
     find_irreducible,
     is_prime,
+    is_square_mod,
     poly_deg,
     poly_divmod,
-    poly_mod,
-    poly_pow_mod,
     pow_elt,
 )
 
 MAX_M = 13
+
+# Largest q whose int64 kernel stays exact: the longest dot product is a
+# ModRing contraction over the degree-84 primitive 13-division polynomial,
+# with 84 terms below (q - 1)^2 (see finitefield).
+MAX_Q = 1 + math.isqrt((2**63 - 1) // ((MAX_M * MAX_M - 1) // 2))
 
 # divisor x-polynomials to strip so that only exact-order-m abscissas remain
 _PRIM_STRIP = {4: (), 6: (3,), 8: (4,), 9: (3,), 10: (5,), 12: (6, 4)}
@@ -477,14 +481,6 @@ def _primitive_x_poly(D: DivisionPolynomials, m: int) -> np.ndarray:
     return xp
 
 
-def _euler_square_in_factor(D: DivisionPolynomials, g: np.ndarray, q: int) -> bool:
-    """Is x^3 + Ax + B a square in F_q[x]/(g)?"""
-    d = poly_deg(g)
-    t = poly_mod(D.curve_poly, g, q)
-    s = poly_pow_mod(t, (q ** d - 1) // 2, g, q)
-    return poly_deg(s) == 0 and s[0] == 1
-
-
 def _exact_order(E: EllipticCurve, P, m: int) -> bool:
     if E.mul(P, m) is not None:
         return False
@@ -693,7 +689,7 @@ def _construct_via_division_poly(q, A, B, m, rng):
     exps = []
     for g in facs:
         d = poly_deg(g)
-        exps.append(d if _euler_square_in_factor(D, g, q) else 2 * d)
+        exps.append(d if is_square_mod(D.curve_poly, g, q) else 2 * d)
     n = math.lcm(*exps)
     pick = next((i for i, e in enumerate(exps) if e == n), None)
     if pick is None:
@@ -761,7 +757,7 @@ def _construct_glued(q, A, B, m, rng):
         D = DivisionPolynomials(q, A, B)
         prim = _primitive_x_poly(D, modd)
         facs = factor_squarefree(prim, q, rng)
-        exps = [poly_deg(g) if _euler_square_in_factor(D, g, q) else 2 * poly_deg(g)
+        exps = [poly_deg(g) if is_square_mod(D.curve_poly, g, q) else 2 * poly_deg(g)
                 for g in facs]
         g_star = facs[exps.index(nodd)] if nodd in exps else facs[0]
         gpoly = [F.from_int(int(c)) for c in g_star]
@@ -803,6 +799,8 @@ def torsion_data(q: int, A: int, B: int, m: int) -> TorsionData:
         raise TorsionConstructionError(f"m = {m} out of supported range")
     if not is_prime(q) or q in (2, 3):
         raise TorsionConstructionError("q must be a prime >= 5")
+    if q > MAX_Q:
+        raise TorsionConstructionError(f"q must be at most {MAX_Q}")
     if m % q == 0:
         raise TorsionConstructionError("q divides m")
     if (4 * A ** 3 + 27 * B ** 2) % q == 0:

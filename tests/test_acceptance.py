@@ -6,6 +6,8 @@ is numeric (1e-9 residuals) and zero elsewhere; wall-clock budgets are
 asserted inside the tests that carry one.
 """
 
+import hashlib
+import io
 import math
 import random
 import time
@@ -32,7 +34,7 @@ from torsionfields.classify4 import (
 )
 from torsionfields.curve import discriminant
 from torsionfields.finitefield import pow_elt
-from torsionfields.generators import failures, generate_instances, run_suite
+from torsionfields.generators import failures, generate_instances, run_suite, write_jsonl
 from torsionfields.gl2 import (
     eta_power,
     gl2_elements,
@@ -195,6 +197,13 @@ def test_criterion_4_theorem_suite():
     ms = {r.m for r in reports}
     assert ms == {3, 4, 5, 7, 8, 9, 11, 12, 13}
     assert elapsed < 300.0
+    # the seed-0 regression run is byte-identical (8060 JSONL reports)
+    out = io.StringIO()
+    write_jsonl(reports, out)
+    assert len(reports) == 8060
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "ea1ee8dd72812cb147e6a8c28a13baf345c829520a414c9803d4b091d5a03b24"
+    )
 
 
 def test_criterion_5_pairing_properties():

@@ -173,6 +173,14 @@ def test_pairing_construction_failure_exits_2(capsys, monkeypatch):
     assert json.loads(out)["error"] == "construction-failed"
 
 
+def test_pairing_refuses_prime_above_the_int64_bound(capsys):
+    # 331363937 is the first prime above torsion.MAX_Q
+    code, out, _ = run_cli(capsys, "pairing", "--p", "331363937", "--k", "1",
+                           "--a", "1", "--b", "1", "--m", "5")
+    assert code == 2
+    assert json.loads(out)["error"] == "construction-failed"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

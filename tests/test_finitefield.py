@@ -10,17 +10,20 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from torsionfields.finitefield import (
     ExtField,
+    ModRing,
     PrimeField,
     QuadExt,
     factor_squarefree,
     find_irreducible,
     is_prime,
     is_square_elt,
+    is_square_mod,
     poly_deg,
+    poly_divmod,
     poly_eval,
     poly_gcd,
     poly_is_irreducible,
@@ -33,6 +36,7 @@ from torsionfields.finitefield import (
     sqrt_int,
     ts_sqrt,
 )
+from torsionfields.torsion import MAX_Q
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +237,119 @@ def test_pow_mod_agrees_with_int_pow():
     x = np.array([0, 1], dtype=np.int64)
     h = poly_pow_mod(x, 169, g, p)
     assert h.tolist() == [0, 1]  # x^(p^2) = x mod irreducible of degree 2
+
+
+# ---------------------------------------------------------------------------
+# the modular-ring kernel against schoolbook arithmetic on Python ints
+# ---------------------------------------------------------------------------
+
+def _ref_trim(a):
+    a = list(a)
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a or [0]
+
+
+def _ref_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _ref_divmod(a, g, p):
+    """Long division by monic g, one coefficient at a time."""
+    a, n = [c % p for c in a], len(g) - 1
+    q = [0] * max(len(a) - n, 1)
+    for d in range(len(a) - 1, n - 1, -1):
+        c = a[d]
+        q[d - n] = c
+        for i in range(n + 1):
+            a[d - n + i] = (a[d - n + i] - c * g[i]) % p
+    return _ref_trim(q), _ref_trim(a[:n])
+
+
+def _ref_powmod(a, e, g, p):
+    result, base = [1], _ref_divmod(a, g, p)[1]
+    while e:
+        if e & 1:
+            result = _ref_divmod(_ref_mul(result, base, p), g, p)[1]
+        base = _ref_divmod(_ref_mul(base, base, p), g, p)[1]
+        e >>= 1
+    return _ref_trim(result)
+
+
+def _prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+_TOP_PRIME = _prime_at_most(MAX_Q)
+_PRIMES = st.one_of(
+    st.sampled_from([5, 7, 1000003, 10000019, _TOP_PRIME]),
+    st.integers(5, MAX_Q).map(_prime_at_most),
+)
+
+
+@st.composite
+def _ring_case(draw, max_deg=84):
+    p = draw(_PRIMES)
+    n = draw(st.integers(1, max_deg))
+    coeff = st.integers(0, p - 1)
+    g = draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
+    a = draw(st.lists(coeff, min_size=1, max_size=2 * n + 1))
+    b = draw(st.lists(coeff, min_size=1, max_size=n))
+    return p, g, a, b
+
+
+def _arr(c):
+    return np.array(c, dtype=np.int64)
+
+
+def _padded(c, n):
+    return c + [0] * (n - len(c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ring_case(), st.integers(0, 2**16))
+@example((_TOP_PRIME, [_TOP_PRIME - 1] * 84 + [1], [_TOP_PRIME - 1] * 84,
+          [_TOP_PRIME - 1] * 84), 2**16 - 1)
+def test_modring_matches_schoolbook(case, e):
+    p, g, a, b = case
+    n = len(g) - 1
+    ring = ModRing(_arr(g), p)
+    ra, rb = ring.reduce(_arr(a)), ring.reduce(_arr(b))
+    assert ra.tolist() == _padded(_ref_divmod(a, g, p)[1], n)
+    want = _ref_divmod(_ref_mul(ra.tolist(), rb.tolist(), p), g, p)[1]
+    assert ring.mul(ra, rb).tolist() == _padded(want, n)
+    assert ring.pow(_arr(a), e).tolist() == _ref_powmod(a, e, g, p)
+    assert poly_pow_mod(_arr(b), e, _arr(g), p).tolist() == _ref_powmod(b, e, g, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ring_case())
+def test_poly_divmod_matches_schoolbook(case):
+    p, g, a, _ = case
+    q, r = poly_divmod(_arr(a), _arr(g), p)
+    want_q, want_r = _ref_divmod(_ref_trim(a), g, p)
+    assert (q.tolist(), r.tolist()) == (want_q, want_r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ring_case(max_deg=4))
+def test_is_square_mod_matches_euler_criterion(case):
+    p, g, t, _ = case
+    assume(poly_is_irreducible(_arr(g), p))
+    n = len(g) - 1
+    s = _ref_powmod(t, (p ** n - 1) // 2, g, p)
+    assert is_square_mod(_arr(t), _arr(g), p) == (s == [1])
+
+
+def test_modring_refuses_moduli_that_overflow_int64():
+    g = np.zeros(86, dtype=np.int64)
+    g[85] = 1
+    ModRing(g[1:], _TOP_PRIME)  # degree 84: n (p - 1)^2 < 2^63
+    with pytest.raises(OverflowError):
+        ModRing(g, _TOP_PRIME)

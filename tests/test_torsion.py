@@ -3,9 +3,11 @@ import math
 import pytest
 
 from torsionfields.curve import EllipticCurve
-from torsionfields.finitefield import PrimeField, pow_elt
+from torsionfields.finitefield import PrimeField, is_prime, pow_elt
 from torsionfields.torsion import (
+    MAX_Q,
     TorsionConstructionError,
+    _group_order_over_ext,
     _jac_mul,
     torsion_data,
     weil_pairing,
@@ -50,6 +52,31 @@ def test_rejects_bad_inputs():
         torsion_data(5, 2, 3, 3)  # 4A^3+27B^2 = 275 = 0 mod 5
     with pytest.raises(TorsionConstructionError):
         torsion_data(5, 1, 1, 14)  # out of range
+    assert is_prime(331363937) and MAX_Q < 331363937
+    with pytest.raises(TorsionConstructionError):
+        torsion_data(331363937, 1, 1, 5)  # first prime above the int64 bound
+
+
+# q near 10^6 and 10^7, where an unreduced int64 contraction used to wrap
+@pytest.mark.parametrize("q, A, B, m, n", [
+    (1000003, 1, 1, 5, 24),
+    (10000019, 1, 1, 5, 20),
+    (1813667, 522301, 1360998, 3, 8),
+    (1167359, 150851, 291016, 5, 12),
+])
+def test_large_q_construction_is_exact(q, A, B, m, n):
+    td = torsion_data(q, A, B, m)
+    assert td.n == n
+    a, b, c, d = td.frobenius
+    assert (a * d - b * c - q) % m == 0
+    power, order = (a % m, b % m, c % m, d % m), 1
+    while power != (1, 0, 0, 1):
+        w, x, y, z = power
+        power = ((w * a + x * c) % m, (w * b + x * d) % m,
+                 (y * a + z * c) % m, (y * b + z * d) % m)
+        order += 1
+    assert order == n
+    assert _group_order_over_ext(q, A, B, n) % (m * m) == 0
 
 
 def test_two_torsion_frozen_example():
