@@ -17,19 +17,20 @@ from fractions import Fraction
 
 import mpmath
 
-from .numberfield import (
+from .numberfield import (  # noqa: F401  (ClassificationDefect is re-exported)
     INCONCLUSIVE,
+    RESIDUAL_BOUND,
     SQUARE,
-    CubicElement,
+    ClassificationDefect,
     CubicField,
     QuadTower,
     TowerElement,
     is_rational_square,
+    lift,
     rational_cbrt,
     sqrt_in,
+    to_mpf,
 )
-
-RESIDUAL_BOUND = 1e-9
 
 #: every group name the classifier can emit, with its order (always = degree)
 GROUP_ORDERS = {
@@ -52,35 +53,6 @@ FLAG_KEYS_BNZ = ("cube_root", "sqrt_c", "sqrt_delta", "ordinate", "zeta")
 FLAG_KEYS_B0 = ("sqrt3", "abscissa", "ordinate", "zeta")
 
 
-class ClassificationDefect(RuntimeError):
-    """Flag combination or tower shape that the degree table proves
-    impossible.  Raised instead of guessing: it means either a bug or a
-    genuinely unexplained curve."""
-
-
-def _mpq(q: Fraction):
-    return mpmath.mpf(q.numerator) / q.denominator
-
-
-def _lift(field, x):
-    """Embed a rational, or an element of a lower floor, into `field`."""
-    if field is None:
-        return x if isinstance(x, Fraction) else Fraction(x)
-    if isinstance(field, CubicField):
-        if isinstance(x, CubicElement):
-            return x
-        return field.from_rational(Fraction(x))
-    if isinstance(x, TowerElement) and x.field == field:
-        return x
-    return field.elt(_lift(field.base, x), _zero_of(field.base))
-
-
-def _zero_of(base):
-    if base is None:
-        return Fraction(0)
-    return base.zero()
-
-
 def _real_root_index(field: CubicField) -> int:
     """Index of the real embedding (used to anchor branch choices)."""
     roots = field.embeddings()
@@ -91,7 +63,7 @@ def _embed(field, x):
     """Distinguished complex embedding of a tower element: the real root of
     the cubic floor, principal square roots above it."""
     if field is None:
-        return _mpq(Fraction(x))
+        return to_mpf(x)
     if isinstance(field, CubicField):
         return x.embed(_real_root_index(field))
     r = mpmath.sqrt(mpmath.mpc(_embed(field.base, field.radicand)))
@@ -145,9 +117,9 @@ def radical_roots3(A, B, precision: int = 256):
     if disc == 0:
         raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
     with mpmath.workprec(precision):
-        a_, b_ = _mpq(A), _mpq(B)
+        a_, b_ = to_mpf(A), to_mpf(B)
         if B:
-            d_ = _mpq(disc)
+            d_ = to_mpf(disc)
             # real cube root, principal square roots throughout
             cr = mpmath.cbrt(abs(d_)) if d_ > 0 else -mpmath.cbrt(abs(d_))
             c = (-cr - 4 * a_) / 3
@@ -242,7 +214,7 @@ def _tower_bnz(A: Fraction, B: Fraction) -> _Tower3:
     else:
         L2, sc = L1, _principal(L1, c, root)
 
-    c2, sc2 = _lift(L2, c), _lift(L2, sc)
+    c2, sc2 = lift(L2, c), lift(L2, sc)
     delta = -c2 - 4 * A - (8 * B) / sc2
     st, root = sqrt_in(L2, delta)
     if st == SQUARE and not f_sc:
@@ -265,12 +237,12 @@ def _tower_bnz(A: Fraction, B: Fraction) -> _Tower3:
     else:
         L3, sd = L2, _principal(L2, delta, root)
 
-    c3, sc3, sd3 = _lift(L3, c), _lift(L3, sc), _lift(L3, sd)
-    y1_sq = ((4 * B - c3 * sc3) * sd3 + c3 * _lift(L3, delta)) / (4 * sc3)
+    c3, sc3, sd3 = lift(L3, c), lift(L3, sc), lift(L3, sd)
+    y1_sq = ((4 * B - c3 * sc3) * sd3 + c3 * lift(L3, delta)) / (4 * sc3)
     st, _ = sqrt_in(L3, y1_sq)
     if st == SQUARE and not f_sd:
         # same conjugate-branch concern one floor up: the mirrored ordinate
-        y2_sq = ((c3 * sc3 - 4 * B) * sd3 + c3 * _lift(L3, delta)) / (4 * sc3)
+        y2_sq = ((c3 * sc3 - 4 * B) * sd3 + c3 * lift(L3, delta)) / (4 * sc3)
         st_m, _ = sqrt_in(L3, y2_sq)
         if st_m != SQUARE:
             y1_sq = y2_sq
@@ -325,7 +297,7 @@ def _tower_b0(A: Fraction) -> _Tower3:
     else:
         L2, x1 = L1, _principal(L1, beta0, root)
 
-    y1_sq = _lift(L2, Fraction(-2 * A, 3) * s3) * _lift(L2, x1)
+    y1_sq = lift(L2, Fraction(-2 * A, 3) * s3) * lift(L2, x1)
     st, _ = sqrt_in(L2, y1_sq)
     if st == SQUARE and not f_b:
         st_m, _ = sqrt_in(L2, -y1_sq)

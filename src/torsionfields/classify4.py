@@ -18,29 +18,27 @@ from fractions import Fraction
 
 import mpmath
 
-from .classify3 import ClassificationDefect
 from .numberfield import (
     INCONCLUSIVE,
+    RESIDUAL_BOUND,
     SQUARE,
+    ClassificationDefect,
     CubicField,
     QuadTower,
+    cubic_roots,
     is_rational_square,
+    lift,
     multiquadratic_reduce,
     rational_cbrt,
     rational_sqrt,
+    to_mpf,
 )
-
-RESIDUAL_BOUND = 1e-9
 
 #: condition keys, in the order they are tested (each against the field
 #: generated by the previously adjoined ones)
 FLAG_KEYS_4 = ("alpha_beta", "alpha_gamma", "beta_gamma", "minus_one")
 
 QUOTIENT_BY_DPRIME = {1: "1", 2: "Z2", 3: "Z3", 6: "S3"}
-
-
-def _mp(q: Fraction):
-    return mpmath.mpf(q.numerator) / q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +72,6 @@ class TwoTorsionSplit:
                 self.beta - self.gamma)
 
 
-def _lift4(field, x):
-    if field is None:
-        return Fraction(x)
-    if isinstance(field, CubicField):
-        return x if not isinstance(x, (int, Fraction)) else \
-            field.from_rational(Fraction(x))
-    if isinstance(x, (int, Fraction)):
-        base = field.base
-        return field.elt(_lift4(base, x),
-                         Fraction(0) if base is None else base.zero())
-    if getattr(x, "field", None) == field:
-        return x
-    return field.elt(_lift4(field.base, x), field.base.zero()
-                     if field.base is not None else Fraction(0))
-
-
 def _rational_roots(A: Fraction, B: Fraction):
     """All rational roots of x^3 + A x + B, found exactly.
 
@@ -100,8 +82,7 @@ def _rational_roots(A: Fraction, B: Fraction):
     den = math.lcm(A.denominator, B.denominator)
     roots = []
     with mpmath.workprec(256):
-        for r in mpmath.polyroots([1, 0, _mp(A), _mp(B)],
-                                  maxsteps=200, extraprec=80):
+        for r in cubic_roots(A, B, extraprec=80):
             if abs(mpmath.im(r)) > mpmath.mpf(10) ** -40:
                 continue
             cand = Fraction(int(mpmath.nint(mpmath.re(r) * den)), den)
@@ -130,7 +111,7 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
         else:
             F = QuadTower(None, D)
             sD = F.gen()
-            a = _lift4(F, r)
+            a = lift(F, r)
             b, g = (-a + sD) / 2, (-a - sD) / 2
             split = TwoTorsionSplit(A, B, "one-rational", 2, F, a, b, g, disc)
     else:
@@ -140,7 +121,7 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
             # cyclic cubic: the other roots live in Q(alpha) already
             sd = rational_sqrt(disc)
             w = F0.from_rational(sd) * (al * al * 3 + F0.from_rational(A)).inverse()
-            if _cubic_embed(F0, w) < 0:
+            if _value(F0, w, {}).real < 0:
                 w = -w
             b, g = (-al + w) / 2, (-al - w) / 2
             split = TwoTorsionSplit(A, B, "irreducible", 3, F0, al, b, g, disc)
@@ -148,7 +129,7 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
             delta = -al * al * 3 - F0.from_rational(4 * A)
             F = QuadTower(F0, delta)
             sd = F.gen()
-            a = _lift4(F, al)
+            a = lift(F, al)
             b, g = (-a + sd) / 2, (-a - sd) / 2
             split = TwoTorsionSplit(A, B, "irreducible", 6, F, a, b, g, disc)
 
@@ -156,21 +137,20 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
     return split
 
 
-def _cubic_embed(field: CubicField, x) -> float:
-    """Value of x at the distinguished (largest-real) embedding."""
+def _largest_real_root(field: CubicField) -> int:
+    """Index of the distinguished embedding: the largest real root."""
     roots = field.embeddings()
     real = [i for i in range(3) if abs(mpmath.im(roots[i])) < 1e-10]
-    idx = max(real, key=lambda i: mpmath.re(roots[i]))
-    return float(mpmath.re(x.embed(idx)))
+    return max(real, key=lambda i: mpmath.re(roots[i]))
 
 
 def _check_vieta(split: TwoTorsionSplit) -> None:
     a, b, g = split.alpha, split.beta, split.gamma
     F = split.field
-    zero = _lift4(F, 0)
+    zero = lift(F, 0)
     assert a + b + g == zero
-    assert a * b + a * g + b * g == _lift4(F, split.A)
-    assert a * b * g == _lift4(F, -split.B)
+    assert a * b + a * g + b * g == lift(F, split.A)
+    assert a * b * g == lift(F, -split.B)
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +176,23 @@ class FourTorsionPoint:
     y_num: object
 
 
-def _value(field, x):
+def _value(field, x, gens: dict):
     """Distinguished embedding: largest real root of the cubic floor,
-    principal square roots above."""
+    principal square roots above.  `gens` holds, per floor, its root index
+    or the square root of its radicand, derived once at the working
+    precision."""
     if field is None:
-        return _mp(Fraction(x))
+        return to_mpf(x)
+    if id(field) not in gens:
+        if isinstance(field, CubicField):
+            g = _largest_real_root(field)
+        else:
+            g = mpmath.sqrt(mpmath.mpc(_value(field.base, field.radicand, gens)))
+        gens[id(field)] = (field, g)     # holding field keeps its id unique
+    g = gens[id(field)][1]
     if isinstance(field, CubicField):
-        roots = field.embeddings()
-        real = [i for i in range(3) if abs(mpmath.im(roots[i])) < 1e-10]
-        idx = max(real, key=lambda i: mpmath.re(roots[i]))
-        return mpmath.mpc(x.embed(idx))
-    r = mpmath.sqrt(mpmath.mpc(_value(field.base, field.radicand)))
-    return _value(field.base, x.u) + _value(field.base, x.v) * r
+        return mpmath.mpc(x.embed(g))
+    return _value(field.base, x.u, gens) + _value(field.base, x.v, gens) * g
 
 
 def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
@@ -215,6 +200,7 @@ def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
     y -> -y), with exact tower coordinates and numeric verification."""
     A, B = split.A, split.B
     out = []
+    gens = {}
     labelled = [("alpha", split.alpha, split.beta, split.gamma),
                 ("beta", split.beta, split.alpha, split.gamma),
                 ("gamma", split.gamma, split.alpha, split.beta)]
@@ -222,23 +208,23 @@ def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
         for name, r0, r1, r2 in labelled:
             L1 = QuadTower(split.field, r0 - r1)
             s = L1.gen()
-            L2 = QuadTower(L1, _lift4(L1, r0 - r2))
+            L2 = QuadTower(L1, lift(L1, r0 - r2))
             t = L2.gen()
-            s2, d1, d2 = _lift4(L2, s), _lift4(L2, r0 - r1), _lift4(L2, r0 - r2)
-            root = _lift4(L2, r0)
+            s2, d1, d2 = lift(L2, s), lift(L2, r0 - r1), lift(L2, r0 - r2)
+            root = lift(L2, r0)
             for sign in (1, -1):
                 x = root + sign * s2 * t
                 y = d1 * t + sign * d2 * s2
                 lhs = y * y
-                rhs = x * x * x + _lift4(L2, A) * x + _lift4(L2, B)
+                rhs = x * x * x + lift(L2, A) * x + lift(L2, B)
                 assert lhs == rhs, "curve identity must hold exactly"
-                xn, yn = _value(L2, x), _value(L2, y)
-                fx = xn ** 3 + _mp(A) * xn + _mp(B)
+                xn, yn = _value(L2, x, gens), _value(L2, y, gens)
+                fx = xn ** 3 + to_mpf(A) * xn + to_mpf(B)
                 if abs(yn * yn - fx) > RESIDUAL_BOUND:
                     raise ClassificationDefect("numeric curve residual too large")
                 # duplication: 2P must land on (r0, 0)
-                dx = ((xn * xn - _mp(A)) ** 2 - 8 * _mp(B) * xn) / (4 * fx)
-                if abs(dx - _value(split.field, r0)) > RESIDUAL_BOUND:
+                dx = ((xn * xn - to_mpf(A)) ** 2 - 8 * to_mpf(B) * xn) / (4 * fx)
+                if abs(dx - _value(split.field, r0, gens)) > RESIDUAL_BOUND:
                     raise ClassificationDefect("P does not halve the expected "
                                                "2-torsion point")
                 out.append(FourTorsionPoint(name, L2, x, y, xn, yn))
@@ -254,7 +240,7 @@ def conditions4(split: TwoTorsionSplit):
     sqrt(-1) genuinely extend, each tested over K2 plus the previously
     adjoined ones (multiquadratic_reduce).  Returns (flags, confidence)."""
     d1, d2, d3 = split.diffs()
-    thetas = [d1, d2, d3, _lift4(split.field, -1)]
+    thetas = [d1, d2, d3, lift(split.field, -1)]
     adjoined = []
     flags = {}
     unknown = False
@@ -307,8 +293,7 @@ def d96_criterion(A, B) -> bool:
         return False
     # positive discriminant must mean three distinct real roots
     with mpmath.workprec(128):
-        roots = mpmath.polyroots([1, 0, _mp(A), _mp(B)], maxsteps=200,
-                                 extraprec=60)
+        roots = cubic_roots(A, B, extraprec=60)
         if any(abs(mpmath.im(r)) > 1e-20 for r in roots):
             raise ClassificationDefect("positive discriminant with a "
                                        "non-real root")

@@ -16,6 +16,17 @@ whether a given element is a square in its field:
 A test can come back inconclusive (reconstruction failed and no witness was
 found); callers downgrade their confidence instead of guessing.
 
+Representation.  A cubic field keeps t^3 + a t + b as integers ai, bi over
+one positive denominator e.  A cubic element is (n0 + n1 t + n2 t^2) / d
+with integers in normal form: d > 0 and gcd(n0, n1, n2, d) = 1, reached
+once per operation, so a product costs a few integer multiplies and one
+gcd, and equal elements have equal integers.  Norm and inverse come from
+one integer adjugate of the multiplication matrix.  A tower element is a
+pair (u, v) meaning u + v*sqrt(D), with u, v in the floor below: a Fraction
+over Q, a cubic element, or another tower element.  `lift` carries a
+rational or a lower-floor element up into a field, and `to_mpf` turns a
+rational into an mpmath number.
+
 ``multiquadratic_reduce`` implements the subset trick: theta is a square in
 base(sqrt(d_1), ..., sqrt(d_k)) iff theta * prod_{i in S} d_i is a square in
 the base for some subset S.
@@ -24,17 +35,15 @@ the base for some subset S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import mpmath
+from mpmath.libmp import NoConvergence
 
 from .finitefield import is_prime, poly_roots
 
 import numpy as np
-
-Rational = Fraction
 
 SQUARE = "square"
 NOT_SQUARE = "not_square"
@@ -44,6 +53,14 @@ INCONCLUSIVE = "inconclusive"
 RATIONALIZE_HEIGHT = 10 ** 6
 PRECISION_BITS = 256
 WITNESS_PRIMES = 50
+#: largest numeric residual the classifiers accept in their self-checks
+RESIDUAL_BOUND = 1e-9
+
+
+class ClassificationDefect(RuntimeError):
+    """Flag combination or tower shape that the degree table proves
+    impossible, or a numeric step that did not converge.  Raised instead of
+    guessing: it means either a bug or a genuinely unexplained curve."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +115,6 @@ def is_rational_cube(q: Fraction) -> bool:
     return rational_cbrt(q) is not None
 
 
-def rational_sqrt_status(q: Fraction):
-    r = rational_sqrt(q)
-    return (SQUARE, r) if r is not None else (NOT_SQUARE, None)
-
-
 # ---------------------------------------------------------------------------
 # depressed cubic fields
 # ---------------------------------------------------------------------------
@@ -110,28 +122,37 @@ def rational_sqrt_status(q: Fraction):
 class CubicField:
     """Q[t]/(t^3 + a*t + b), assumed irreducible over Q.
 
-    Elements are coordinate triples (c0, c1, c2) w.r.t. the basis 1, t, t^2.
+    a and b are kept as Fractions and as integers (ai, bi) over one positive
+    denominator e, which is what element arithmetic uses.
     """
 
     def __init__(self, a: Fraction, b: Fraction):
         self.a = Fraction(a)
         self.b = Fraction(b)
+        self.e = math.lcm(self.a.denominator, self.b.denominator)
+        self.ai = self.a.numerator * (self.e // self.a.denominator)
+        self.bi = self.b.numerator * (self.e // self.b.denominator)
         self._roots = None
 
     def elt(self, c0, c1=0, c2=0) -> "CubicElement":
-        return CubicElement(self, Fraction(c0), Fraction(c1), Fraction(c2))
+        c0, c1, c2 = Fraction(c0), Fraction(c1), Fraction(c2)
+        d = math.lcm(c0.denominator, c1.denominator, c2.denominator)
+        return _cubic(self, c0.numerator * (d // c0.denominator),
+                      c1.numerator * (d // c1.denominator),
+                      c2.numerator * (d // c2.denominator), d)
 
     def from_rational(self, q) -> "CubicElement":
-        return self.elt(q)
+        q = Fraction(q)
+        return CubicElement(self, q.numerator, 0, 0, q.denominator)
 
     def gen(self) -> "CubicElement":
-        return self.elt(0, 1)
+        return CubicElement(self, 0, 1, 0, 1)
 
     def zero(self):
-        return self.elt(0)
+        return CubicElement(self, 0, 0, 0, 1)
 
     def one(self):
-        return self.elt(1)
+        return CubicElement(self, 1, 0, 0, 1)
 
     def discriminant(self) -> Fraction:
         return -4 * self.a ** 3 - 27 * self.b ** 2
@@ -140,9 +161,7 @@ class CubicField:
         """The three roots of t^3 + a t + b as mpmath complex numbers."""
         if self._roots is None:
             with mpmath.workprec(PRECISION_BITS):
-                roots = mpmath.polyroots(
-                    [1, 0, _to_mpf(self.a), _to_mpf(self.b)],
-                    maxsteps=200, extraprec=120)
+                roots = cubic_roots(self.a, self.b, extraprec=120)
                 self._roots = [mpmath.mpc(r) for r in roots]
         return self._roots
 
@@ -156,82 +175,116 @@ class CubicField:
         return f"Q[t]/(t^3 + {self.a}*t + {self.b})"
 
 
-def _to_mpf(q: Fraction):
+def to_mpf(q):
+    """A rational (Fraction or int) at the working precision."""
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-class CubicElement:
-    __slots__ = ("field", "c0", "c1", "c2")
+def cubic_roots(a, b, extraprec: int):
+    """Roots of t^3 + a t + b at the working precision.  Root finding that
+    does not converge raises ClassificationDefect."""
+    try:
+        return mpmath.polyroots([1, 0, to_mpf(a), to_mpf(b)],
+                                maxsteps=200, extraprec=extraprec)
+    except NoConvergence as exc:
+        raise ClassificationDefect(f"cubic roots did not converge: {exc}") from None
 
-    def __init__(self, field: CubicField, c0: Fraction, c1: Fraction, c2: Fraction):
+
+def _cubic(field, n0, n1, n2, d):
+    """The element (n0 + n1 t + n2 t^2) / d, brought to normal form."""
+    g = math.gcd(n0, n1, n2, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n0, n1, n2, d = n0 // g, n1 // g, n2 // g, d // g
+    return CubicElement(field, n0, n1, n2, d)
+
+
+class CubicElement:
+    """(n0 + n1 t + n2 t^2) / d with integers n0, n1, n2 and d > 0 in normal
+    form, gcd(n0, n1, n2, d) = 1, so equal elements have equal integers.
+    c0, c1, c2 are the coordinates on the basis 1, t, t^2 as Fractions."""
+
+    __slots__ = ("field", "n0", "n1", "n2", "d")
+
+    def __init__(self, field: CubicField, n0: int, n1: int, n2: int, d: int):
         self.field = field
-        self.c0, self.c1, self.c2 = c0, c1, c2
+        self.n0, self.n1, self.n2, self.d = n0, n1, n2, d
+
+    c0 = property(lambda self: Fraction(self.n0, self.d))
+    c1 = property(lambda self: Fraction(self.n1, self.d))
+    c2 = property(lambda self: Fraction(self.n2, self.d))
 
     def coords(self):
         return (self.c0, self.c1, self.c2)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return CubicElement(self.field, self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+        y = self._coerce(other)
+        if self.d == y.d:
+            return _cubic(self.field, self.n0 + y.n0, self.n1 + y.n1,
+                          self.n2 + y.n2, self.d)
+        dx, dy = self.d, y.d
+        return _cubic(self.field, self.n0 * dy + y.n0 * dx, self.n1 * dy + y.n1 * dx,
+                      self.n2 * dy + y.n2 * dx, dx * dy)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return CubicElement(self.field, self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return CubicElement(self.field, -self.c0, -self.c1, -self.c2)
+        return CubicElement(self.field, -self.n0, -self.n1, -self.n2, self.d)
 
     def _coerce(self, other):
-        if isinstance(other, CubicElement):
-            return other
-        return self.field.from_rational(Fraction(other))
+        return lift(self.field, other)
 
     def __mul__(self, other):
         if not isinstance(other, CubicElement):
             q = Fraction(other)
-            return CubicElement(self.field, self.c0 * q, self.c1 * q, self.c2 * q)
-        a, b = self.field.a, self.field.b
-        x0, x1, x2 = self.coords()
-        y0, y1, y2 = other.coords()
-        # product coefficients up to t^4, reduced by t^3 = -a t - b and
-        # t^4 = -a t^2 - b t
+            k = q.numerator
+            return _cubic(self.field, self.n0 * k, self.n1 * k, self.n2 * k,
+                          self.d * q.denominator)
+        F = self.field
+        e, a, b = F.e, F.ai, F.bi
+        x0, x1, x2 = self.n0, self.n1, self.n2
+        y0, y1, y2 = other.n0, other.n1, other.n2
+        # product coefficients up to t^4, reduced by e t^3 = -a t - b and
+        # e t^4 = -a t^2 - b t
         z3 = x1 * y2 + x2 * y1
         z4 = x2 * y2
-        c0 = x0 * y0 - b * z3
-        c1 = (x0 * y1 + x1 * y0) - a * z3 - b * z4
-        c2 = (x0 * y2 + x1 * y1 + x2 * y0) - a * z4
-        return CubicElement(self.field, c0, c1, c2)
+        return _cubic(F, e * x0 * y0 - b * z3,
+                      e * (x0 * y1 + x1 * y0) - a * z3 - b * z4,
+                      e * (x0 * y2 + x1 * y1 + x2 * y0) - a * z4,
+                      e * self.d * other.d)
 
     __rmul__ = __mul__
 
-    def mult_matrix(self):
-        """3x3 matrix of multiplication by self on the basis 1, t, t^2."""
-        cols = []
-        basis = [self.field.one(), self.field.gen(), self.field.gen() * self.field.gen()]
-        for e in basis:
-            prod = self * e
-            cols.append(prod.coords())
-        return [[cols[j][i] for j in range(3)] for i in range(3)]
+    def _adjugate(self):
+        """(C0, C1, C2, det M) for the integer matrix M of multiplication by
+        e*d*self on the basis 1, t, t^2: C is the first column of adj(M)."""
+        F = self.field
+        e, a, b = F.e, F.ai, F.bi
+        n0, n1, n2 = self.n0, self.n1, self.n2
+        m11, m12 = e * n0 - a * n2, -a * n1 - b * n2
+        m20, m21 = e * n2, e * n1
+        c0 = m11 * m11 - m12 * m21          # m22 = m11
+        c1 = m12 * m20 - m21 * m11          # m10 = m21
+        c2 = m21 * m21 - m11 * m20
+        return c0, c1, c2, e * n0 * c0 - b * (n2 * c1 + n1 * c2)
 
     def norm(self) -> Fraction:
-        m = self.mult_matrix()
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        *_, det = self._adjugate()
+        return Fraction(det, (self.field.e * self.d) ** 3)
 
     def inverse(self) -> "CubicElement":
-        if not self:
-            raise ZeroDivisionError
-        m = self.mult_matrix()
-        sol = _solve3(m, [Fraction(1), Fraction(0), Fraction(0)])
-        return CubicElement(self.field, *sol)
+        c0, c1, c2, det = self._adjugate()
+        if not det:
+            raise ZeroDivisionError("not invertible")
+        s = self.field.e * self.d
+        return _cubic(self.field, c0 * s, c1 * s, c2 * s, det)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -245,36 +298,22 @@ class CubicElement:
                 other = self._coerce(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return self.coords() == other.coords() and self.field == other.field
+        return (self.n0 == other.n0 and self.n1 == other.n1 and self.n2 == other.n2
+                and self.d == other.d and self.field == other.field)
 
     def __bool__(self):
-        return any(self.coords())
+        return bool(self.n0 or self.n1 or self.n2)
 
     def __hash__(self):
-        return hash((self.field, self.coords()))
+        return hash((self.field, self.n0, self.n1, self.n2, self.d))
 
     def embed(self, i: int):
         """Value under the i-th embedding, at the working precision."""
         r = self.field.embeddings()[i]
-        return _to_mpf(self.c0) + _to_mpf(self.c1) * r + _to_mpf(self.c2) * r * r
+        return to_mpf(self.c0) + to_mpf(self.c1) * r + to_mpf(self.c2) * r * r
 
     def __repr__(self):
         return f"({self.c0}) + ({self.c1})*t + ({self.c2})*t^2"
-
-
-def _solve3(m, rhs):
-    """Exact 3x3 linear solve by Gaussian elimination over Fractions."""
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(3):
-        piv = next(r for r in range(col, 3) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(3):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][3] for r in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +451,10 @@ class QuadTower:
 
     def __init__(self, base, radicand):
         self.base = base  # None | CubicField | QuadTower
-        self.radicand = _as_base_elt(base, radicand)
+        self.radicand = lift(base, radicand)
 
     def elt(self, u, v=0) -> "TowerElement":
-        return TowerElement(self, _as_base_elt(self.base, u), _as_base_elt(self.base, v))
+        return TowerElement(self, lift(self.base, u), lift(self.base, v))
 
     def from_rational(self, q):
         return self.elt(q, 0)
@@ -438,24 +477,22 @@ class QuadTower:
         )
 
     def __hash__(self):
-        return hash(("QuadTower", self.base, _hashable(self.radicand)))
+        return hash(("QuadTower", self.base, self.radicand))
 
     def __repr__(self):
         return f"({self.base!r})(sqrt({self.radicand!r}))"
 
 
-def _as_base_elt(base, x):
-    if base is None:
-        return Fraction(x) if not isinstance(x, Fraction) else x
-    if isinstance(base, CubicField):
-        return x if isinstance(x, CubicElement) else base.from_rational(Fraction(x))
-    if isinstance(base, QuadTower):
-        return x if isinstance(x, TowerElement) else base.from_rational(Fraction(x))
-    raise TypeError(f"bad base {base!r}")
-
-
-def _hashable(x):
-    return x if isinstance(x, Fraction) else hash(x)
+def lift(field, x):
+    """x, a rational or an element of a lower floor, as an element of
+    `field` (None meaning Q)."""
+    if field is None:
+        return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(field, CubicField):
+        return x if isinstance(x, CubicElement) else field.from_rational(x)
+    if isinstance(x, TowerElement) and (x.field is field or x.field == field):
+        return x
+    return TowerElement(field, lift(field.base, x), lift(field.base, 0))
 
 
 class TowerElement:
@@ -466,9 +503,7 @@ class TowerElement:
         self.u, self.v = u, v
 
     def _coerce(self, other):
-        if isinstance(other, TowerElement) and other.field == self.field:
-            return other
-        return self.field.elt(other, 0)
+        return lift(self.field, other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -524,7 +559,7 @@ class TowerElement:
         return bool(self.u) or bool(self.v)
 
     def __hash__(self):
-        return hash((_hashable(self.u), _hashable(self.v)))
+        return hash((self.u, self.v))
 
     def __repr__(self):
         return f"({self.u!r}) + ({self.v!r})*sqrt(D)"
@@ -537,11 +572,12 @@ class TowerElement:
 def sqrt_in(field, x):
     """(status, root) for x interpreted in `field` (None meaning Q)."""
     if field is None:
-        return rational_sqrt_status(Fraction(x))
+        r = rational_sqrt(x)
+        return (SQUARE, r) if r is not None else (NOT_SQUARE, None)
     if isinstance(field, CubicField):
-        return square_test_cubic(_as_base_elt(field, x))
+        return square_test_cubic(lift(field, x))
     if isinstance(field, QuadTower):
-        return square_test_tower(_as_base_elt(field, x))
+        return square_test_tower(lift(field, x))
     raise TypeError(f"bad field {field!r}")
 
 

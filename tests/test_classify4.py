@@ -10,6 +10,7 @@ companion regression for the near-miss coefficient 9658/27, which gives an
 irreducible cubic and degree 96 instead.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -122,6 +123,32 @@ def test_four_torsion_points_verify(A, B):
     assert len(pts) == 6
     assert sorted(p.halves for p in pts) == \
         ["alpha", "alpha", "beta", "beta", "gamma", "gamma"]
+
+
+# The A = 0 and B = 0 families for coefficients -6..6, and the two worked
+# curves: 26 curves, 156 points.
+SPECIAL_CURVES = (
+    [(Fraction(0), Fraction(b)) for b in range(-6, 7) if b]
+    + [(Fraction(a), Fraction(0)) for a in range(-6, 7) if a]
+    + [(Fraction(-15), Fraction(22)), (SPLIT_A, SPLIT_B)]
+)
+FOUR_TORSION_SHA256 = \
+    "2668f24f58667f592a3702d458790838b18484a8aa13de96d87af2feae246c4f"
+
+
+def test_four_torsion_points_exact_coordinates_pinned():
+    # the exact tower coordinates and their 256-bit values, as strings, are
+    # frozen: a change of representation must not change any of them
+    h = hashlib.sha256()
+    count = 0
+    for A, B in SPECIAL_CURVES:
+        for pt in four_torsion_points(two_torsion_split(A, B)):
+            with mpmath.workprec(256):
+                h.update(f"{A} {B} {pt.halves} {pt.x!r} {pt.y!r} "
+                         f"{pt.x_num} {pt.y_num}\n".encode())
+            count += 1
+    assert count == 156
+    assert h.hexdigest() == FOUR_TORSION_SHA256
 
 
 def test_four_torsion_split_curve_lands_in_gaussian_rationals():

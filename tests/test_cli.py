@@ -163,6 +163,21 @@ def test_classification_defect_exits_2(capsys, monkeypatch):
     assert doc["error"] == "classification-defect"
 
 
+@pytest.mark.parametrize("command", ["classify3", "classify4"])
+@pytest.mark.parametrize("A,B", [(-15, 22), (1, 1)])
+def test_classify_nonconvergent_roots_exit_2(capsys, command, A, B):
+    # at u = 10^30 + 57 the 256-bit cubic root finder gives up on the twist
+    # (u^4 A, u^6 B); that is reported as a defect, not a traceback
+    u = 10**30 + 57
+    code, out, _ = run_cli(capsys, command, "--a", str(A * u**4),
+                           "--b", str(B * u**6))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["schema"] == "1"
+    assert doc["error"] == "classification-defect"
+    assert "did not converge" in doc["detail"]
+
+
 def test_pairing_construction_failure_exits_2(capsys, monkeypatch):
     def boom(q, a, b, m):
         raise TorsionConstructionError("forced")

@@ -1,5 +1,6 @@
 """Exact number-field layer: square/cube tests, cubic fields, towers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -83,6 +84,90 @@ def test_cubic_norm_multiplicative(xs, ys):
     F = CubicField(Fraction(-1), Fraction(3))
     a, b = F.elt(*xs), F.elt(*ys)
     assert (a * b).norm() == a.norm() * b.norm()
+
+
+# Reference arithmetic: coordinate triples of Fractions, schoolbook product
+# reduced by t^4 = -a t^2 - b t and t^3 = -a t - b.
+def _ref_mul(F, x, y):
+    z = [Fraction(0)] * 5
+    for i in range(3):
+        for j in range(3):
+            z[i + j] += x[i] * y[j]
+    z[2] -= F.a * z[4]
+    z[1] -= F.b * z[4] + F.a * z[3]
+    z[0] -= F.b * z[3]
+    return tuple(z[:3])
+
+
+def _ref_norm(F, x):
+    cols = [_ref_mul(F, x, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    m = [[cols[j][i] for j in range(3)] for i in range(3)]
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _assert_normal(x):
+    assert x.d > 0
+    assert math.gcd(x.n0, x.n1, x.n2, x.d) == 1
+
+
+REFERENCE_FIELDS = [
+    CubicField(Fraction(-15), Fraction(22)),
+    CubicField(Fraction(-481, 3), Fraction(9758, 27)),   # splits over Q
+    CubicField(Fraction(0), Fraction(-2)),
+    CubicField(Fraction(10**40 + 7, 3**20), Fraction(-5, 2**40)),
+]
+
+_height = st.fractions(min_value=-10**40, max_value=10**40,
+                       max_denominator=10**40)
+_coords = st.tuples(_height, _height, _height)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REFERENCE_FIELDS), _coords, _coords,
+       st.integers(-10**6, 10**6), _height)
+def test_cubic_arithmetic_matches_fraction_reference(F, xs, ys, n, q):
+    x, y = F.elt(*xs), F.elt(*ys)
+    _assert_normal(x)
+    _assert_normal(y)
+    assert x.coords() == xs and y.coords() == ys
+    cases = [
+        (x + y, tuple(a + b for a, b in zip(xs, ys))),
+        (x - y, tuple(a - b for a, b in zip(xs, ys))),
+        (-x, tuple(-a for a in xs)),
+        (x * y, _ref_mul(F, xs, ys)),
+        (x * n, tuple(a * n for a in xs)),
+        (q * x, tuple(q * a for a in xs)),
+        (x + q, (xs[0] + q, xs[1], xs[2])),
+    ]
+    for got, want in cases:
+        _assert_normal(got)
+        assert got.coords() == want
+        assert got == F.elt(*want) and hash(got) == hash(F.elt(*want))
+    assert x.norm() == _ref_norm(F, xs)
+    if x.norm():
+        inv = x.inverse()
+        _assert_normal(inv)
+        assert _ref_mul(F, inv.coords(), xs) == (1, 0, 0)
+        assert x * inv == F.one() and x / x == F.one()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    # equal elements built different ways compare and hash equal
+    for other in ((x + y) - y, x * (y + 1) - y * x,
+                  F.elt(*xs) * 1, x * F.one()):
+        assert other == x and hash(other) == hash(x)
+    assert (x == y) == (xs == ys)
+
+
+def test_cubic_zero_divisor_has_no_inverse():
+    # t^3 - 481/3 t + 9758/27 has the root 34/3, so t - 34/3 has norm 0
+    F = REFERENCE_FIELDS[1]
+    x = F.gen() - Fraction(34, 3)
+    assert x and x.norm() == 0
+    with pytest.raises(ZeroDivisionError):
+        x.inverse()
 
 
 def test_square_test_cubic_recovers_squares():
