@@ -18,7 +18,6 @@ from fractions import Fraction
 import mpmath
 
 from .numberfield import (  # noqa: F401  (ClassificationDefect is re-exported)
-    INCONCLUSIVE,
     RESIDUAL_BOUND,
     SQUARE,
     ClassificationDefect,
@@ -167,14 +166,8 @@ def radical_roots3(A, B, precision: int = 256):
 @dataclass
 class _Tower3:
     flags: dict
-    inconclusive: bool
     quartic: str | None      # "cyclic" | "biquadratic" when degree 4 applies
     degenerate: bool         # ordinate square fell below the sqrt_delta floor
-
-
-def _note(status, inconclusive):
-    """Map a square-test status to (flag holds, inconclusive seen)."""
-    return status != SQUARE, inconclusive or status == INCONCLUSIVE
 
 
 def _quartic_shape(r: Fraction, theta: TowerElement) -> str:
@@ -195,8 +188,6 @@ def _quartic_shape(r: Fraction, theta: TowerElement) -> str:
 
 def _tower_bnz(A: Fraction, B: Fraction) -> _Tower3:
     disc = -432 * B * B - 64 * A ** 3
-    unknown = False
-
     cr = rational_cbrt(disc)
     f_cbrt = cr is None
     if f_cbrt:
@@ -207,7 +198,7 @@ def _tower_bnz(A: Fraction, B: Fraction) -> _Tower3:
         c = Fraction(-cr - 4 * A, 3)
 
     st, root = sqrt_in(L1, c)
-    f_sc, unknown = _note(st, unknown)
+    f_sc = st != SQUARE
     if f_sc:
         L2 = QuadTower(L1, c)
         sc = L2.gen()
@@ -230,7 +221,7 @@ def _tower_bnz(A: Fraction, B: Fraction) -> _Tower3:
             sc2 = -sc2
             delta = mirror
             st, root = st_m, None
-    f_sd, unknown = _note(st, unknown)
+    f_sd = st != SQUARE
     if f_sd:
         L3 = QuadTower(L2, delta)
         sd = L3.gen()
@@ -251,14 +242,13 @@ def _tower_bnz(A: Fraction, B: Fraction) -> _Tower3:
     # sqrt_delta step; remembered because a couple of later decisions are
     # only valid for the generic shape.
     degenerate = f_sd and not y1_sq.v
-    f_y, unknown = _note(st, unknown)
+    f_y = st != SQUARE
     L4 = QuadTower(L3, y1_sq) if f_y else L3
 
     # The last flag asks whether -3 is a square in the constructed tower.
     # Testing it against K(sqrt_c, y1) alone would overcount the degree on
     # degenerate curves, where that field misses sqrt_delta.
-    st, _ = sqrt_in(L4, Fraction(-3))
-    f_z, unknown = _note(st, unknown)
+    f_z = sqrt_in(L4, Fraction(-3))[0] != SQUARE
 
     flags = {
         "cube_root": f_cbrt,
@@ -276,11 +266,10 @@ def _tower_bnz(A: Fraction, B: Fraction) -> _Tower3:
             quartic = _quartic_shape(c, y1_sq)
         else:
             quartic = _quartic_shape(delta, y1_sq)
-    return _Tower3(flags, unknown, quartic, degenerate)
+    return _Tower3(flags, quartic, degenerate)
 
 
 def _tower_b0(A: Fraction) -> _Tower3:
-    unknown = False
     f_s3 = not is_rational_square(Fraction(3))
     if f_s3:
         L1 = QuadTower(None, 3)
@@ -290,7 +279,7 @@ def _tower_b0(A: Fraction) -> _Tower3:
 
     beta0 = -A - Fraction(2 * A, 3) * s3
     st, root = sqrt_in(L1, beta0)
-    f_b, unknown = _note(st, unknown)
+    f_b = st != SQUARE
     if f_b:
         L2 = QuadTower(L1, beta0)
         x1 = L2.gen()
@@ -304,28 +293,25 @@ def _tower_b0(A: Fraction) -> _Tower3:
         if st_m != SQUARE:
             y1_sq = -y1_sq
             st = st_m
-    f_y, unknown = _note(st, unknown)
+    f_y = st != SQUARE
     L3 = QuadTower(L2, y1_sq) if f_y else L2
-
-    st, _ = sqrt_in(L3, Fraction(-3))
-    f_z, unknown = _note(st, unknown)
+    f_z = sqrt_in(L3, Fraction(-3))[0] != SQUARE
 
     flags = {"sqrt3": f_s3, "abscissa": f_b, "ordinate": f_y, "zeta": f_z}
-    return _Tower3(flags, unknown, None, False)
+    return _Tower3(flags, None, False)
 
 
 def conditions3(A, B):
     """Decide which tower steps genuinely extend the field.
 
-    Returns (flags, confidence).  Confidence degrades to "monte-carlo" when
-    any exact square test came back inconclusive (the flag is then recorded
-    as holding, the generic outcome).
+    Returns (flags, confidence); every square test is exact, so the
+    confidence is always "exact".
     """
     A, B = Fraction(A), Fraction(B)
     if -432 * B * B - 64 * A ** 3 == 0:
         raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
     tw = _tower_b0(A) if B == 0 else _tower_bnz(A, B)
-    return tw.flags, ("monte-carlo" if tw.inconclusive else "exact")
+    return tw.flags, "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +418,7 @@ class Classification3Report:
         }
 
 
-def classify3(A, B, mc_primes: int = 0) -> Classification3Report:
+def classify3(A, B) -> Classification3Report:
     """Full classification of the order-3 coordinate field of
     y^2 = x^3 + A x + B over Q."""
     A, B = Fraction(A), Fraction(B)
@@ -446,14 +432,7 @@ def classify3(A, B, mc_primes: int = 0) -> Classification3Report:
         # an elementary-abelian shape GL2(Z/3) does not contain
         raise ClassificationDefect("degenerate tower with degree 8")
     group = galois_group3(tw.flags, d, quartic=tw.quartic)
-    confidence = "monte-carlo" if tw.inconclusive else "exact"
-    if tw.inconclusive and mc_primes:
-        from .oracle import chebotarev_degree
-        est = chebotarev_degree(A, B, 3, budget=mc_primes)
-        if est.stabilized and est.estimate != d:
-            raise ClassificationDefect(
-                f"sampled degree {est.estimate} contradicts table degree {d}")
     return Classification3Report(A=A, B=B, delta=disc,
                                  branch="B0" if B == 0 else "Bnz",
                                  flags=tw.flags, degree=d, group=group,
-                                 confidence=confidence)
+                                 confidence="exact")

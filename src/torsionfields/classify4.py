@@ -12,24 +12,22 @@ into [K4:Q] and the semidirect-product shape of Gal(K4/Q).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from .numberfield import (
-    INCONCLUSIVE,
     RESIDUAL_BOUND,
     SQUARE,
     ClassificationDefect,
     CubicField,
     QuadTower,
-    cubic_roots,
     is_rational_square,
     lift,
     multiquadratic_reduce,
     rational_cbrt,
+    rational_roots,
     rational_sqrt,
     to_mpf,
 )
@@ -72,35 +70,16 @@ class TwoTorsionSplit:
                 self.beta - self.gamma)
 
 
-def _rational_roots(A: Fraction, B: Fraction):
-    """All rational roots of x^3 + A x + B, found exactly.
-
-    Any rational root has denominator dividing lcm(den A, den B), so the
-    256-bit numeric roots recover it by integer rounding, and an exact
-    evaluation confirms it.
-    """
-    den = math.lcm(A.denominator, B.denominator)
-    roots = []
-    with mpmath.workprec(256):
-        for r in cubic_roots(A, B, extraprec=80):
-            if abs(mpmath.im(r)) > mpmath.mpf(10) ** -40:
-                continue
-            cand = Fraction(int(mpmath.nint(mpmath.re(r) * den)), den)
-            if cand ** 3 + A * cand + B == 0 and cand not in roots:
-                roots.append(cand)
-    return sorted(roots, reverse=True)
-
-
 def two_torsion_split(A, B) -> TwoTorsionSplit:
     """Exact splitting field of x^3 + A x + B with labelled roots."""
     A, B = Fraction(A), Fraction(B)
     if 4 * A ** 3 + 27 * B ** 2 == 0:
         raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
     disc = -4 * A ** 3 - 27 * B ** 2
-    rr = _rational_roots(A, B)
+    rr = rational_roots([B, A, 0, 1])
 
     if rr:
-        r = rr[0]
+        r = rr[-1]
         D = -3 * r * r - 4 * A          # discriminant of the cofactor
         sq = rational_sqrt(D)
         if sq is not None:              # fully split
@@ -140,7 +119,7 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
 def _largest_real_root(field: CubicField) -> int:
     """Index of the distinguished embedding: the largest real root."""
     roots = field.embeddings()
-    real = [i for i in range(3) if abs(mpmath.im(roots[i])) < 1e-10]
+    real = [i for i in range(3) if not mpmath.im(roots[i])]
     return max(real, key=lambda i: mpmath.re(roots[i]))
 
 
@@ -243,14 +222,12 @@ def conditions4(split: TwoTorsionSplit):
     thetas = [d1, d2, d3, lift(split.field, -1)]
     adjoined = []
     flags = {}
-    unknown = False
     for key, theta in zip(FLAG_KEYS_4, thetas):
         status, _ = multiquadratic_reduce(split.field, adjoined, theta)
         flags[key] = status != SQUARE
-        unknown = unknown or status == INCONCLUSIVE
         if flags[key]:
             adjoined.append(theta)
-    return flags, ("monte-carlo" if unknown else "exact")
+    return flags, "exact"
 
 
 def degree4(flags: dict, dprime: int) -> int:
@@ -289,15 +266,7 @@ def d96_criterion(A, B) -> bool:
     disc_curve = -16 * (27 * B * B + 4 * A ** 3)
     if disc_curve <= 0 or is_rational_square(disc_curve):
         return False
-    if 4 * A ** 3 + 27 * B ** 2 == 0 or _rational_roots(A, B):
-        return False
-    # positive discriminant must mean three distinct real roots
-    with mpmath.workprec(128):
-        roots = cubic_roots(A, B, extraprec=60)
-        if any(abs(mpmath.im(r)) > 1e-20 for r in roots):
-            raise ClassificationDefect("positive discriminant with a "
-                                       "non-real root")
-    return True
+    return not rational_roots([B, A, 0, 1])
 
 
 def _is_fourth_power(q: Fraction) -> bool:

@@ -70,7 +70,7 @@ def _emit(doc: dict) -> None:
 
 def _cmd_classify3(args) -> int:
     try:
-        report = classify3(args.a, args.b, mc_primes=args.mc_primes)
+        report = classify3(args.a, args.b)
     except ClassificationDefect as exc:
         _emit({"schema": "1", "error": "classification-defect", "detail": str(exc)})
         return 2
@@ -175,8 +175,6 @@ def build_parser() -> _Parser:
     p3 = sub.add_parser("classify3", help="exact [Q(E[3]):Q] and Galois group")
     p3.add_argument("--a", type=_rational, required=True)
     p3.add_argument("--b", type=_rational, required=True)
-    p3.add_argument("--mc-primes", type=int, default=0, dest="mc_primes",
-                    help="good primes for the Monte-Carlo cross-check of inconclusive square tests")
     p3.set_defaults(func=_cmd_classify3)
 
     p4 = sub.add_parser("classify4", help="exact [Q(E[4]):Q] and structure")

@@ -3,29 +3,33 @@
 Three shapes of field are enough for every tower that appears: the rationals,
 a depressed cubic field Q[t]/(t^3 + a t + b), and towers built by repeatedly
 adjoining a square root to one of those.  The central service is deciding
-whether a given element is a square in its field:
+whether a given element is a square in its field, exactly and at any height:
 
-* rationals: exact (integer square roots of numerator and denominator);
-* cubic fields: a three-stage procedure — norm obstruction, numeric
-  reconstruction of a candidate root (verified exactly), and residue
-  witnesses at degree-one primes, which give an exact "no" whenever the
-  element is a unit at the witness prime;
+* rationals: integer square roots of numerator and denominator;
+* cubic fields: a rational element is a square iff it is one in Q (the
+  degree is odd); any other element theta generates the field, and a square
+  root alpha would have a characteristic polynomial g with
+  g(X) g(-X) = -chi_theta(X^2).  That leaves finitely many candidates for
+  alpha, read off the rational roots of one quartic (`square_test_cubic`),
+  and each is checked exactly;
 * towers: the classical descent x = a + b*sqrt(D), which reduces a square
   test at one level to square tests in the level below.
 
-A test can come back inconclusive (reconstruction failed and no witness was
-found); callers downgrade their confidence instead of guessing.
+`rational_roots` finds the rational roots of a monic rational polynomial by
+exact integer bisection.  Numeric values appear only where a complex value
+is wanted (`cubic_roots`, `CubicElement.embed`); no square test uses them.
 
 Representation.  A cubic field keeps t^3 + a t + b as integers ai, bi over
 one positive denominator e.  A cubic element is (n0 + n1 t + n2 t^2) / d
 with integers in normal form: d > 0 and gcd(n0, n1, n2, d) = 1, reached
 once per operation, so a product costs a few integer multiplies and one
-gcd, and equal elements have equal integers.  Norm and inverse come from
-one integer adjugate of the multiplication matrix.  A tower element is a
-pair (u, v) meaning u + v*sqrt(D), with u, v in the floor below: a Fraction
-over Q, a cubic element, or another tower element.  `lift` carries a
-rational or a lower-floor element up into a field, and `to_mpf` turns a
-rational into an mpmath number.
+gcd, and equal elements have equal integers.  Norm, inverse and the
+characteristic polynomial come from one integer adjugate of the
+multiplication matrix.  A tower element is a pair (u, v) meaning
+u + v*sqrt(D), with u, v in the floor below: a Fraction over Q, a cubic
+element, or another tower element.  `lift` carries a rational or a
+lower-floor element up into a field, and `to_mpf` turns a rational into an
+mpmath number.
 
 ``multiquadratic_reduce`` implements the subset trick: theta is a square in
 base(sqrt(d_1), ..., sqrt(d_k)) iff theta * prod_{i in S} d_i is a square in
@@ -39,27 +43,19 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath
-from mpmath.libmp import NoConvergence
-
-from .finitefield import is_prime, poly_roots
-
-import numpy as np
 
 SQUARE = "square"
 NOT_SQUARE = "not_square"
-INCONCLUSIVE = "inconclusive"
 
-#: reconstruction denominator bound, working precision, witness budget
-RATIONALIZE_HEIGHT = 10 ** 6
+#: working precision of embeddings
 PRECISION_BITS = 256
-WITNESS_PRIMES = 50
 #: largest numeric residual the classifiers accept in their self-checks
 RESIDUAL_BOUND = 1e-9
 
 
 class ClassificationDefect(RuntimeError):
     """Flag combination or tower shape that the degree table proves
-    impossible, or a numeric step that did not converge.  Raised instead of
+    impossible, or a numeric self-check that failed.  Raised instead of
     guessing: it means either a bug or a genuinely unexplained curve."""
 
 
@@ -115,6 +111,66 @@ def is_rational_cube(q: Fraction) -> bool:
     return rational_cbrt(q) is not None
 
 
+def rational_roots(coeffs) -> list[Fraction]:
+    """The distinct rational roots, ascending, of the monic polynomial
+    sum_i coeffs[i] x^i with rational coefficients, found exactly.
+
+    With D the lcm of the denominators, D^n p(y / D) is a monic integer
+    polynomial in y, so its rational roots are integers.
+    """
+    cs = [Fraction(c) for c in coeffs]
+    if cs[-1] != 1:
+        raise ValueError("rational_roots needs a monic polynomial")
+    n = len(cs) - 1
+    D = math.lcm(*(c.denominator for c in cs))
+    p = [c.numerator * D ** (n - i) // c.denominator for i, c in enumerate(cs)]
+    return [Fraction(r, D) for r in sorted(_integer_roots(p)[0])]
+
+
+def _eval(p, x: int) -> int:
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _integer_roots(p):
+    """(roots, points) for an integer polynomial p, coefficients from the
+    constant up, with a positive leading one: the set of its integer roots,
+    and a sorted list of integers such that every real root of p is one of
+    them or lies strictly between two of them that differ by 1.
+
+    The points of the derivative split the line into pieces on which p is
+    strictly monotone; a sign change over a piece longer than 1 is narrowed
+    by exact bisection.  The outer points come from Fujiwara's bound
+    |z| <= 2 max_i |p[n-i] / p[n]|^(1/i) on the roots z.
+    """
+    n = len(p) - 1
+    if n == 0:
+        return set(), []
+    crit = _integer_roots([i * c for i, c in enumerate(p)][1:])[1]
+    bound = 2 << max(-(-abs(c).bit_length() // (n - i))
+                     for i, c in enumerate(p[:-1]))
+    pts = sorted(set(crit) | {-bound, bound})
+    vals = [_eval(p, x) for x in pts]
+    roots = {x for x, v in zip(pts, vals) if v == 0}
+    found = []
+    for lo, hi, vlo, vhi in zip(pts, pts[1:], vals, vals[1:]):
+        if hi - lo > 1 and (vlo < 0 < vhi or vhi < 0 < vlo):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                vm = _eval(p, mid)
+                if vm == 0:
+                    roots.add(mid)
+                    lo = hi = mid
+                elif (vm < 0) == (vlo < 0):
+                    lo = mid
+                else:
+                    hi = mid
+            found += (lo, hi)
+    return roots, sorted(set(pts).union(found))
+
+
 # ---------------------------------------------------------------------------
 # depressed cubic fields
 # ---------------------------------------------------------------------------
@@ -154,9 +210,6 @@ class CubicField:
     def one(self):
         return CubicElement(self, 1, 0, 0, 1)
 
-    def discriminant(self) -> Fraction:
-        return -4 * self.a ** 3 - 27 * self.b ** 2
-
     def embeddings(self):
         """The three roots of t^3 + a t + b as mpmath complex numbers."""
         if self._roots is None:
@@ -181,13 +234,34 @@ def to_mpf(q):
 
 
 def cubic_roots(a, b, extraprec: int):
-    """Roots of t^3 + a t + b at the working precision.  Root finding that
-    does not converge raises ClassificationDefect."""
-    try:
-        return mpmath.polyroots([1, 0, to_mpf(a), to_mpf(b)],
-                                maxsteps=200, extraprec=extraprec)
-    except NoConvergence as exc:
-        raise ClassificationDefect(f"cubic roots did not converge: {exc}") from None
+    """Roots of t^3 + a t + b (irreducible over Q) at the working precision,
+    in closed form: the real roots first, ascending, as mpf, then any
+    complex pair.
+
+    Three real roots (discriminant > 0) come from the trigonometric form,
+    one from Cardano's formula with the cube root taken on the side that
+    avoids cancellation.  A nearly repeated root or a root much smaller than
+    the coefficients loses at most a few bits per bit of their height, so
+    the work runs with extraprec plus four bits per bit of height to spare,
+    and is rounded at the end.
+    """
+    a, b = Fraction(a), Fraction(b)
+    height = max(x.bit_length() for x in
+                 (a.numerator, a.denominator, b.numerator, b.denominator))
+    with mpmath.extraprec(extraprec + 4 * height):
+        am, bm = to_mpf(a), to_mpf(b)
+        if -4 * a ** 3 - 27 * b ** 2 > 0:
+            r = 2 * mpmath.sqrt(-am / 3)
+            phi = mpmath.acos(3 * bm / (am * r))
+            roots = sorted(r * mpmath.cos((phi - 2 * k * mpmath.pi) / 3)
+                           for k in range(3))
+        else:
+            s = mpmath.sqrt(to_mpf(a ** 3 / 27 + b ** 2 / 4))
+            u = -mpmath.cbrt(bm / 2 + s) if b > 0 else mpmath.cbrt(s - bm / 2)
+            v = -am / (3 * u)
+            re, im = -(u + v) / 2, mpmath.sqrt(3) * (u - v) / 2
+            roots = [u + v, mpmath.mpc(re, im), mpmath.mpc(re, -im)]
+    return [+r for r in roots]
 
 
 def _cubic(field, n0, n1, n2, d):
@@ -275,6 +349,17 @@ class CubicElement:
         c2 = m21 * m21 - m11 * m20
         return c0, c1, c2, e * n0 * c0 - b * (n2 * c1 + n1 * c2)
 
+    def _charpoly(self):
+        """(trace, sum of principal 2x2 minors, det) of the integer matrix M
+        of multiplication by e*d*self, whose characteristic polynomial
+        Z^3 - trace Z^2 + minors Z - det has integer coefficients."""
+        F = self.field
+        c0, _, _, det = self._adjugate()
+        m00, m11 = F.e * self.n0, F.e * self.n0 - F.ai * self.n2   # m22 = m11
+        # the minors besides c0: m00 (m11 + m22) - m01 m10 - m02 m20
+        return (m00 + 2 * m11,
+                c0 + 2 * (m00 * m11 + F.e * F.bi * self.n1 * self.n2), det)
+
     def norm(self) -> Fraction:
         *_, det = self._adjugate()
         return Fraction(det, (self.field.e * self.d) ** 3)
@@ -317,125 +402,41 @@ class CubicElement:
 
 
 # ---------------------------------------------------------------------------
-# the three-stage square test in a cubic field
+# the square test in a cubic field
 # ---------------------------------------------------------------------------
 
 def square_test_cubic(theta: CubicElement):
-    """Decide whether theta is a square in its cubic field.
+    """Decide whether theta is a square in its cubic field K, exactly.
 
-    Returns (status, root) with status in {square, not_square, inconclusive}.
-    Stage 1: the norm of a square is a rational square (exact obstruction).
-    Stage 2: reconstruct a candidate root from the embeddings and verify it
-             exactly (exact certificate).
-    Stage 3: quadratic-residue witnesses at degree-one primes where theta is
-             a unit (exact refutation).
+    Returns (status, root) with status in {square, not_square}.  A rational
+    theta is a square in K iff it is one in Q, since [K:Q] = 3 is odd.  Any
+    other theta generates K.  With k = e*d, the element k*theta is integral
+    (its multiplication matrix is an integer matrix), and theta is a square
+    iff psi = k^2 theta is.  Let chi(Z) = Z^3 + s1 Z^2 + s2 Z + s3 be the
+    characteristic polynomial of psi, in Z[Z].  If psi = alpha^2, the
+    characteristic polynomial g = X^3 + g1 X^2 + g2 X + c of alpha satisfies
+    g(X) g(-X) = -chi(X^2): so c^2 = N(psi) = -s3, g2 = (g1^2 + s1) / 2, and
+    g1 is a rational root of (g1^2 + s1)^2 - 8 c g1 - 4 s2.  One sign of c
+    suffices, since -alpha has the other.  From g(alpha) = 0 and
+    alpha^2 = psi, alpha = -(g1 psi + c) / (psi + g2); psi is a square iff
+    one of these candidates squares to it, which is checked exactly.
     """
     F = theta.field
-    if not theta:
-        return SQUARE, F.zero()
-    if not is_rational_square(theta.norm()):
+    if not (theta.n1 or theta.n2):
+        r = rational_sqrt(theta.c0)
+        return (SQUARE, F.from_rational(r)) if r is not None else (NOT_SQUARE, None)
+    k = F.e * theta.d
+    tr, minors, det = theta._charpoly()
+    c = rational_sqrt(k ** 3 * det)
+    if c is None:
         return NOT_SQUARE, None
-
-    cand = _reconstruct_sqrt_cubic(theta)
-    if cand is not None:
-        return SQUARE, cand
-
-    verdict = _witness_disprove_cubic(theta)
-    if verdict:
-        return NOT_SQUARE, None
-    return INCONCLUSIVE, None
-
-
-def _reconstruct_sqrt_cubic(theta: CubicElement):
-    F = theta.field
-    with mpmath.workprec(PRECISION_BITS):
-        roots = F.embeddings()
-        vals = [theta.embed(i) for i in range(3)]
-        sqrts = [mpmath.sqrt(v) for v in vals]
-        vander = mpmath.matrix([[1, r, r * r] for r in roots])
-        for signs in range(8):
-            rhs = mpmath.matrix([sqrts[i] * (1 if (signs >> i) & 1 == 0 else -1) for i in range(3)])
-            try:
-                sol = mpmath.lu_solve(vander, rhs)
-            except ZeroDivisionError:
-                continue
-            coords = []
-            ok = True
-            for i in range(3):
-                x = sol[i]
-                if abs(mpmath.im(x)) > mpmath.mpf(2) ** (-(PRECISION_BITS // 3)):
-                    ok = False
-                    break
-                q = _rationalize(mpmath.re(x))
-                if q is None:
-                    ok = False
-                    break
-                coords.append(q)
-            if not ok:
-                continue
-            cand = F.elt(*coords)
-            if cand * cand == theta:
-                return cand
-    return None
-
-
-def _rationalize(x) -> Fraction | None:
-    """Best rational approximation with denominator <= the height bound,
-    accepted only if it matches x to far better than the bound would allow
-    by accident."""
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    frac = Fraction(man, 1) * Fraction(2) ** exp
-    if sign:
-        frac = -frac
-    cand = frac.limit_denominator(RATIONALIZE_HEIGHT)
-    err = abs(frac - cand)
-    if err < Fraction(1, RATIONALIZE_HEIGHT ** 3):
-        return cand
-    return None
-
-
-def _witness_disprove_cubic(theta: CubicElement) -> bool:
-    """True if a degree-one residue witness proves theta is not a square."""
-    F = theta.field
-    disc = F.discriminant()
-    bad = {2, 3}
-    tested = 0
-    ell = 3
-    while tested < WITNESS_PRIMES and ell < 10 ** 5:
-        ell = _next_prime(ell)
-        if ell in bad:
-            continue
-        if any(q.denominator % ell == 0 for q in (F.a, F.b, theta.c0, theta.c1, theta.c2)):
-            continue
-        if disc.numerator % ell == 0 or disc.denominator % ell == 0:
-            continue
-        poly = np.array(
-            [_frac_mod(F.b, ell), _frac_mod(F.a, ell), 0, 1], dtype=np.int64)
-        for r in poly_roots(poly, ell):
-            v = (_frac_mod(theta.c0, ell)
-                 + _frac_mod(theta.c1, ell) * r
-                 + _frac_mod(theta.c2, ell) * r * r) % ell
-            if v == 0:
-                continue  # not a unit at this prime; witness invalid
-            tested += 1
-            if pow(v, (ell - 1) // 2, ell) == ell - 1:
-                return True
-            if tested >= WITNESS_PRIMES:
-                break
-    return False
-
-
-def _frac_mod(q: Fraction, ell: int) -> int:
-    return q.numerator * pow(q.denominator, ell - 2, ell) % ell
-
-
-def _next_prime(n: int) -> int:
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
+    s1, s2 = -k * tr, k * k * minors
+    psi = theta * (k * k)
+    for g1 in rational_roots([s1 * s1 - 4 * s2, -8 * c, 2 * s1, 0, 1]):
+        alpha = -(psi * g1 + c) / (psi + (g1 * g1 + s1) / 2)
+        if alpha * alpha == psi:
+            return SQUARE, alpha * Fraction(1, k)
+    return NOT_SQUARE, None
 
 
 # ---------------------------------------------------------------------------
@@ -591,31 +592,22 @@ def square_test_tower(x: TowerElement):
         st, r = sqrt_in(base, x.u)
         if st == SQUARE:
             return SQUARE, T.elt(r, 0)
-        st2, r2 = sqrt_in(base, x.u * d)
-        if st2 == SQUARE:
+        st, r = sqrt_in(base, x.u * d)
+        if st == SQUARE:
             # sqrt(u) = (sqrt(u*d)/d) * sqrt(d)
-            return SQUARE, T.elt(0, r2 / d)
-        if INCONCLUSIVE in (st, st2):
-            return INCONCLUSIVE, None
+            return SQUARE, T.elt(0, r / d)
         return NOT_SQUARE, None
     # v != 0: need w with w^2 = u^2 - v^2 d in the base
-    st_w, w = sqrt_in(base, x.u * x.u - (x.v * x.v) * d)
-    if st_w == NOT_SQUARE:
+    st, w = sqrt_in(base, x.u * x.u - (x.v * x.v) * d)
+    if st == NOT_SQUARE:
         return NOT_SQUARE, None
-    if st_w == INCONCLUSIVE:
-        return INCONCLUSIVE, None
-    saw_unknown = False
     for ww in (w, -w):
-        half = (x.u + ww) / 2
-        st_a, a = sqrt_in(base, half)
-        if st_a == SQUARE and a:
-            b = x.v / (a * 2)
-            root = T.elt(a, b)
+        st, a = sqrt_in(base, (x.u + ww) / 2)
+        if st == SQUARE and a:
+            root = T.elt(a, x.v / (a * 2))
             assert root * root == x
             return SQUARE, root
-        if st_a == INCONCLUSIVE:
-            saw_unknown = True
-    return (INCONCLUSIVE, None) if saw_unknown else (NOT_SQUARE, None)
+    return NOT_SQUARE, None
 
 
 def multiquadratic_reduce(base, radicands, theta):
@@ -626,15 +618,11 @@ def multiquadratic_reduce(base, radicands, theta):
     tuple for a plain base square), or None.
     """
     radicands = list(radicands)
-    saw_unknown = False
     for size in range(len(radicands) + 1):
         for S in combinations(range(len(radicands)), size):
             cand = theta
             for i in S:
                 cand = cand * radicands[i]
-            st, _ = sqrt_in(base, cand)
-            if st == SQUARE:
+            if sqrt_in(base, cand)[0] == SQUARE:
                 return SQUARE, S
-            if st == INCONCLUSIVE:
-                saw_unknown = True
-    return (INCONCLUSIVE, None) if saw_unknown else (NOT_SQUARE, None)
+    return NOT_SQUARE, None

@@ -18,7 +18,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsionfields.classify3 import ClassificationDefect
+from torsionfields.classify3 import ClassificationDefect, classify3
 from torsionfields.classify4 import (
     FLAG_KEYS_4,
     Classification4Report,
@@ -347,6 +347,21 @@ def test_classify4_properties(A, B):
     assert rep.structure["order"] == rep.degree
     assert rep.confidence == "exact"
     assert list(rep.flags) == list(FLAG_KEYS_4)
+
+
+@pytest.mark.parametrize("u", [997, 10**5 + 3, Fraction(10**9 + 7, 13),
+                               10**30 + 57],
+                         ids=["997", "100003", "1000000007_over_13", "1e30+57"])
+def test_twists_classify_like_their_base(u):
+    # (u^4 A, u^6 B) is isomorphic to (A, B) over Q: same fields, same answer
+    for A, B in SPECIAL_CURVES + [(Fraction(1), Fraction(1)),
+                                  (Fraction(2), Fraction(14))]:
+        for classify in (classify3, classify4):
+            base = classify(A, B).to_json()
+            twist = classify(A * u ** 4, B * u ** 6).to_json()
+            assert twist["confidence"] == "exact"
+            for key in ("flags", "degree", "group", "structure", "confidence"):
+                assert twist.get(key) == base.get(key), (A, B, key)
 
 
 def test_report_json_shape():

@@ -153,7 +153,7 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
 
 
 def test_classification_defect_exits_2(capsys, monkeypatch):
-    def boom(a, b, mc_primes=0):
+    def boom(a, b):
         raise ClassificationDefect("forced")
     monkeypatch.setattr(cli, "classify3", boom)
     code, out, _ = run_cli(capsys, "classify3", "--a", "0", "--b", "1")
@@ -165,17 +165,19 @@ def test_classification_defect_exits_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["classify3", "classify4"])
 @pytest.mark.parametrize("A,B", [(-15, 22), (1, 1)])
-def test_classify_nonconvergent_roots_exit_2(capsys, command, A, B):
-    # at u = 10^30 + 57 the 256-bit cubic root finder gives up on the twist
-    # (u^4 A, u^6 B); that is reported as a defect, not a traceback
+def test_classify_high_twist_matches_base(capsys, command, A, B):
+    # the twist (u^4 A, u^6 B) with u = 10^30 + 57 is isomorphic to (A, B)
     u = 10**30 + 57
+    _, out, _ = run_cli(capsys, command, "--a", str(A), "--b", str(B))
+    base = json.loads(out)
     code, out, _ = run_cli(capsys, command, "--a", str(A * u**4),
                            "--b", str(B * u**6))
-    assert code == 2
+    assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == "1"
-    assert doc["error"] == "classification-defect"
-    assert "did not converge" in doc["detail"]
+    assert doc["degree"] == base["degree"]
+    assert doc.get("group") == base.get("group")
+    assert doc.get("structure") == base.get("structure")
+    assert doc["confidence"] == "exact"
 
 
 def test_pairing_construction_failure_exits_2(capsys, monkeypatch):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionfields.numberfield import (
-    INCONCLUSIVE,
     NOT_SQUARE,
     SQUARE,
     CubicField,
@@ -17,6 +16,7 @@ from torsionfields.numberfield import (
     is_rational_square,
     multiquadratic_reduce,
     rational_cbrt,
+    rational_roots,
     rational_sqrt,
     sqrt_in,
     square_test_cubic,
@@ -48,6 +48,39 @@ def test_rational_cube_detection():
 def test_rational_roundtrips(q):
     assert rational_sqrt(q * q) == abs(q)
     assert rational_cbrt(q ** 3) == q
+
+
+def _poly_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+# monic factors, constant term first, with no rational root
+NO_RATIONAL_ROOT = [
+    [1],
+    [-2, 0, 1],
+    [1, 0, 1],
+    [-2, 0, 0, 1],
+    [10**60 + 1, 1, 1],                  # no real root
+    [10**90 + 7, 3, 0, 1],               # one real root, in (-10^30, -10^30 + 1)
+    [Fraction(1, 3), 0, Fraction(-7, 10**40), 0, 1],
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.fractions(min_value=-10**60, max_value=10**60,
+                             max_denominator=10**30), max_size=3),
+       st.integers(0, 2), st.sampled_from(NO_RATIONAL_ROOT))
+def test_rational_roots_of_products(roots, repeats, rest):
+    # prod (x - r_i) times a factor without rational roots, with a root
+    # repeated up to twice more: coefficients reach beyond 10^180
+    poly = [Fraction(c) for c in rest]
+    for r in roots + roots[:1] * repeats:
+        poly = _poly_mul(poly, [-r, 1])
+    assert rational_roots(poly) == sorted(set(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +210,19 @@ def test_square_test_cubic_recovers_squares():
         CubicField(Fraction(-1), Fraction(3)),
         CubicField(Fraction(5), Fraction(-7)),
     ]
-    done = 0
-    while done < 100:
-        F = fields[done % len(fields)]
-        theta = F.elt(rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(-20, 20))
-        if not theta:
-            continue
+    t = fields[0].gen()
+    # a root with denominator 1234567, and roots with denominators to 10^12
+    roots = [fields[0].elt(1, Fraction(2, 1234567), -3),
+             (t + 1) / 1234567, fields[0].from_rational(Fraction(5, 1234567))]
+    while len(roots) < 200:
+        F = fields[len(roots) % len(fields)]
+        height = 20 if len(roots) < 100 else 10**12
+        roots.append(F.elt(*(Fraction(rng.randint(-height, height),
+                                      rng.randint(1, height)) for _ in range(3))))
+    for theta in roots:
         status, root = square_test_cubic(theta * theta)
         assert status == SQUARE
         assert root in (theta, -theta)
-        done += 1
 
 
 def test_square_test_cubic_norm_obstruction(k_cbrt2):
@@ -195,10 +231,12 @@ def test_square_test_cubic_norm_obstruction(k_cbrt2):
 
 
 def test_square_test_cubic_witness_refutation(k_cbrt2):
-    # t - 1 has norm 1 (square), is not a square; residue witnesses settle it
-    theta = k_cbrt2.gen() - k_cbrt2.one()
-    assert theta.norm() == 1
-    assert square_test_cubic(theta) == (NOT_SQUARE, None)
+    # t - 1 has norm 1, a square, but is not a square; nor is alpha^2 (t - 1)
+    t = k_cbrt2.gen()
+    alpha = k_cbrt2.elt(Fraction(3, 1234567), -2, Fraction(1, 10**12))
+    for theta in (t - 1, alpha * alpha * (t - 1)):
+        assert is_rational_square(theta.norm())
+        assert square_test_cubic(theta) == (NOT_SQUARE, None)
 
 
 # ---------------------------------------------------------------------------
