@@ -24,6 +24,7 @@ from .numberfield import (  # noqa: F401  (ClassificationDefect is re-exported)
     CubicField,
     QuadTower,
     TowerElement,
+    embed,
     is_rational_square,
     lift,
     rational_cbrt,
@@ -52,29 +53,13 @@ FLAG_KEYS_BNZ = ("cube_root", "sqrt_c", "sqrt_delta", "ordinate", "zeta")
 FLAG_KEYS_B0 = ("sqrt3", "abscissa", "ordinate", "zeta")
 
 
-def _real_root_index(field: CubicField) -> int:
-    """Index of the real embedding (used to anchor branch choices)."""
-    roots = field.embeddings()
-    return min(range(3), key=lambda i: abs(mpmath.im(roots[i])))
-
-
-def _embed(field, x):
-    """Distinguished complex embedding of a tower element: the real root of
-    the cubic floor, principal square roots above it."""
-    if field is None:
-        return to_mpf(x)
-    if isinstance(field, CubicField):
-        return x.embed(_real_root_index(field))
-    r = mpmath.sqrt(mpmath.mpc(_embed(field.base, field.radicand)))
-    return _embed(field.base, x.u) + _embed(field.base, x.v) * r
-
-
 def _principal(field, value, root):
     """Return whichever of +-root embeds as the principal square root of
-    `value` under the distinguished embedding."""
+    `value` under the distinguished embedding (the cubic floor here,
+    t^3 - disc, has one real root)."""
     with mpmath.workprec(160):
-        want = mpmath.sqrt(mpmath.mpc(_embed(field, value)))
-        have = mpmath.mpc(_embed(field, root))
+        want = mpmath.sqrt(mpmath.mpc(embed(field, value)))
+        have = mpmath.mpc(embed(field, root))
         return root if abs(have - want) <= abs(have + want) else -root
 
 

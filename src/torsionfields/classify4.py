@@ -23,6 +23,9 @@ from .numberfield import (
     ClassificationDefect,
     CubicField,
     QuadTower,
+    TowerElement,
+    biquadratic_mul,
+    embed,
     is_rational_square,
     lift,
     multiquadratic_reduce,
@@ -83,8 +86,7 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
         D = -3 * r * r - 4 * A          # discriminant of the cofactor
         sq = rational_sqrt(D)
         if sq is not None:              # fully split
-            roots = sorted([r, (-r + sq) / 2, (-r - sq) / 2], reverse=True)
-            a, b, g = roots
+            a, b, g = sorted([r, (-r + sq) / 2, (-r - sq) / 2], reverse=True)
             split = TwoTorsionSplit(A, B, "three-rational", 1, None,
                                     a, b, g, disc)
         else:
@@ -100,7 +102,7 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
             # cyclic cubic: the other roots live in Q(alpha) already
             sd = rational_sqrt(disc)
             w = F0.from_rational(sd) * (al * al * 3 + F0.from_rational(A)).inverse()
-            if _value(F0, w, {}).real < 0:
+            if embed(F0, w).real < 0:
                 w = -w
             b, g = (-al + w) / 2, (-al - w) / 2
             split = TwoTorsionSplit(A, B, "irreducible", 3, F0, al, b, g, disc)
@@ -112,24 +114,11 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
             b, g = (-a + sd) / 2, (-a - sd) / 2
             split = TwoTorsionSplit(A, B, "irreducible", 6, F, a, b, g, disc)
 
-    _check_vieta(split)
+    a, b, g, F = split.alpha, split.beta, split.gamma, split.field
+    if (a + b + g, a * b + a * g + b * g, a * b * g) != \
+            (lift(F, 0), lift(F, A), lift(F, -B)):
+        raise ClassificationDefect("the labelled roots fail Vieta's formulas")
     return split
-
-
-def _largest_real_root(field: CubicField) -> int:
-    """Index of the distinguished embedding: the largest real root."""
-    roots = field.embeddings()
-    real = [i for i in range(3) if not mpmath.im(roots[i])]
-    return max(real, key=lambda i: mpmath.re(roots[i]))
-
-
-def _check_vieta(split: TwoTorsionSplit) -> None:
-    a, b, g = split.alpha, split.beta, split.gamma
-    F = split.field
-    zero = lift(F, 0)
-    assert a + b + g == zero
-    assert a * b + a * g + b * g == lift(F, split.A)
-    assert a * b * g == lift(F, -split.B)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +129,12 @@ def _check_vieta(split: TwoTorsionSplit) -> None:
 class FourTorsionPoint:
     """One of the six order-4 points P with 2P = (root, 0), up to sign of y.
 
-    x and y are exact elements of `tower` = K2(sqrt(r1))(sqrt(r2)) where
-    r1, r2 are the differences (root - other1), (root - other2).  The curve
-    identity y^2 = x^3 + A x + B holds exactly in the tower; the numeric
-    values (256-bit, distinguished embedding) are kept for reporting and the
-    duplication check.
+    x and y are exact elements of `tower` = K2(s)(t), where s^2 = a and
+    t^2 = b are the differences (root - other1), (root - other2):
+    x = root + sign*s*t and y = sign*b*s + a*t.  The curve identity
+    y^2 = x^3 + A x + B is checked exactly on the basis (1, s, t, st) over
+    K2; the numeric values (256-bit, distinguished embedding) are kept for
+    reporting and the duplication check.
     """
 
     halves: str                  # "alpha" | "beta" | "gamma"
@@ -155,29 +145,15 @@ class FourTorsionPoint:
     y_num: object
 
 
-def _value(field, x, gens: dict):
-    """Distinguished embedding: largest real root of the cubic floor,
-    principal square roots above.  `gens` holds, per floor, its root index
-    or the square root of its radicand, derived once at the working
-    precision."""
-    if field is None:
-        return to_mpf(x)
-    if id(field) not in gens:
-        if isinstance(field, CubicField):
-            g = _largest_real_root(field)
-        else:
-            g = mpmath.sqrt(mpmath.mpc(_value(field.base, field.radicand, gens)))
-        gens[id(field)] = (field, g)     # holding field keeps its id unique
-    g = gens[id(field)][1]
-    if isinstance(field, CubicField):
-        return mpmath.mpc(x.embed(g))
-    return _value(field.base, x.u, gens) + _value(field.base, x.v, gens) * g
-
-
 def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
     """The six order-4 points (one per sign of the halved abscissa, modulo
-    y -> -y), with exact tower coordinates and numeric verification."""
-    A, B = split.A, split.B
+    y -> -y), with exact tower coordinates and numeric verification.
+
+    Each point is checked exactly: y^2 - x (x^2 + A) - B, written on the
+    basis (1, s, t, st) over K2 with `biquadratic_mul`, must have all four
+    coordinates zero.  The values take the principal roots of a and b."""
+    A, B, K = split.A, split.B, split.field
+    zero = lift(K, 0)
     out = []
     gens = {}
     labelled = [("alpha", split.alpha, split.beta, split.gamma),
@@ -185,25 +161,30 @@ def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
                 ("gamma", split.gamma, split.alpha, split.beta)]
     with mpmath.workprec(precision):
         for name, r0, r1, r2 in labelled:
-            L1 = QuadTower(split.field, r0 - r1)
-            s = L1.gen()
-            L2 = QuadTower(L1, lift(L1, r0 - r2))
-            t = L2.gen()
-            s2, d1, d2 = lift(L2, s), lift(L2, r0 - r1), lift(L2, r0 - r2)
-            root = lift(L2, r0)
+            a, b = r0 - r1, r0 - r2
+            L1 = QuadTower(K, a)
+            L2 = QuadTower(L1, lift(L1, b))
+            rn, an, bn = (embed(K, z, gens) for z in (r0, a, b))
+            sn, tn = mpmath.sqrt(mpmath.mpc(an)), mpmath.sqrt(mpmath.mpc(bn))
             for sign in (1, -1):
-                x = root + sign * s2 * t
-                y = d1 * t + sign * d2 * s2
-                lhs = y * y
-                rhs = x * x * x + lift(L2, A) * x + lift(L2, B)
-                assert lhs == rhs, "curve identity must hold exactly"
-                xn, yn = _value(L2, x, gens), _value(L2, y, gens)
-                fx = xn ** 3 + to_mpf(A) * xn + to_mpf(B)
-                if abs(yn * yn - fx) > RESIDUAL_BOUND:
+                xc, yc = (r0, 0, 0, sign), (0, b * sign, a, 0)
+                xx = biquadratic_mul(xc, xc, a, b)
+                fx = biquadratic_mul(xc, (xx[0] + A,) + xx[1:], a, b)
+                yy = biquadratic_mul(yc, yc, a, b)
+                if (yy[0] - B,) + yy[1:] != fx:
+                    raise ClassificationDefect("curve identity fails in the tower")
+                x = TowerElement(L2, TowerElement(L1, r0, zero),
+                                 TowerElement(L1, zero, lift(K, sign)))
+                y = TowerElement(L2, TowerElement(L1, zero, yc[1]),
+                                 TowerElement(L1, a, zero))
+                xn = rn + (sn if sign > 0 else -sn) * tn
+                yn = (bn if sign > 0 else -bn) * sn + an * tn
+                fxn = xn ** 3 + to_mpf(A) * xn + to_mpf(B)
+                if abs(yn * yn - fxn) > RESIDUAL_BOUND:
                     raise ClassificationDefect("numeric curve residual too large")
                 # duplication: 2P must land on (r0, 0)
-                dx = ((xn * xn - to_mpf(A)) ** 2 - 8 * to_mpf(B) * xn) / (4 * fx)
-                if abs(dx - _value(split.field, r0, gens)) > RESIDUAL_BOUND:
+                dx = ((xn * xn - to_mpf(A)) ** 2 - 8 * to_mpf(B) * xn) / (4 * fxn)
+                if abs(dx - rn) > RESIDUAL_BOUND:
                     raise ClassificationDefect("P does not halve the expected "
                                                "2-torsion point")
                 out.append(FourTorsionPoint(name, L2, x, y, xn, yn))

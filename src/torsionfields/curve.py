@@ -108,16 +108,26 @@ class EllipticCurve:
 # ---------------------------------------------------------------------------
 
 ENUMERATION_CAP = 10 ** 6
+#: x values per numpy pass of count_points_prime: a smaller p is one pass
+COUNT_CHUNK = 1 << 16
 
 
-def count_points_prime(p: int, A: int, B: int) -> int:
-    """|E(F_p)| including infinity, by quadratic-character table."""
-    xs = np.arange(p, dtype=np.int64)
-    fx = (xs * xs % p * xs + A * xs + B) % p
+def count_points_prime(p: int, A: int, B: int, chunk: int = COUNT_CHUNK) -> int:
+    """|E(F_p)| including infinity, by quadratic-character table.
+
+    The table of squares takes one byte per element of F_p; the int64 work
+    runs over `chunk` values of x at a time, so it does not grow with p."""
     sq = np.zeros(p, dtype=bool)
-    sq[(xs * xs) % p] = True
-    zero = int((fx == 0).sum())
-    on = int((sq[fx] & (fx != 0)).sum())
+    half = p // 2 + 1                   # x and -x have the same square
+    for lo in range(0, half, chunk):
+        xs = np.arange(lo, min(lo + chunk, half), dtype=np.int64)
+        sq[xs * xs % p] = True
+    zero = on = 0
+    for lo in range(0, p, chunk):
+        xs = np.arange(lo, min(lo + chunk, p), dtype=np.int64)
+        fx = (xs * xs % p * xs + A * xs + B) % p
+        zero += int((fx == 0).sum())
+        on += int((sq[fx] & (fx != 0)).sum())
     return 1 + zero + 2 * on
 
 

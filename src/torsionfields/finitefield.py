@@ -533,9 +533,6 @@ class ExtField:
 
     # -- Frobenius ----------------------------------------------------------
 
-    def frobenius_matrix(self) -> np.ndarray:
-        return self.frobenius_power_matrix(1)
-
     def frobenius_power_matrix(self, k: int) -> np.ndarray:
         k %= self.degree
         if k in self._frob_mats:

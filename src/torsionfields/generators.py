@@ -20,8 +20,14 @@ from dataclasses import dataclass
 from math import gcd
 
 from .curve import DivisionPolynomials
-from .finitefield import is_prime, poly_deg, poly_is_irreducible, pow_elt
-from .gl2 import legendre, mat_pow
+from .finitefield import (
+    is_prime,
+    poly_deg,
+    poly_is_irreducible,
+    pow_elt,
+    primes_in_range,
+)
+from .gl2 import divisors, legendre, mat_pow
 from .torsion import (
     TorsionConstructionError,
     TorsionData,
@@ -58,10 +64,6 @@ class TheoremReport:
 
 def _k(td: TorsionData, gens) -> int:
     return td.subfield_degree(gens)
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,7 @@ def check_reynolds(td):
     m = td.m
     ok = True
     deg = {}
-    for d in (d for d in _divisors(m) if d >= 3):
+    for d in (d for d in divisors(m) if d >= 3):
         level_gens = []
         for i in range(m):
             for j in range(m):
@@ -374,10 +376,6 @@ def run_check(name: str, td: TorsionData) -> TheoremReport:
 # instance generation and the suite driver
 # ---------------------------------------------------------------------------
 
-def _primes_in(lo: int, hi: int) -> list[int]:
-    return [q for q in range(lo, hi + 1) if is_prime(q)]
-
-
 def generate_instances(m: int, count: int, seed, q_range=SUITE_Q_RANGE):
     """Yield `count` deterministic random TorsionData instances at level m.
 
@@ -387,7 +385,7 @@ def generate_instances(m: int, count: int, seed, q_range=SUITE_Q_RANGE):
     at a real defect rather than bad luck.
     """
     rng = random.Random(f"suite-{seed}-m{m}")
-    primes = [q for q in _primes_in(*q_range) if m % q != 0]
+    primes = [q for q in primes_in_range(*q_range) if m % q != 0]
     made = 0
     failures = 0
     while made < count:

@@ -98,14 +98,12 @@ def mat_trace(M, m: int) -> int:
 
 
 def mat_order(M, m: int) -> int:
-    ident = (1, 0, 0, 1)
     cur = tuple(x % m for x in M)
-    k = 1
-    while cur != ident:
+    for k in range(1, m ** 4 + 1):
+        if cur == I2:
+            return k
         cur = mat_mul(cur, M, m)
-        k += 1
-        assert k <= m ** 4, "not invertible?"
-    return k
+    raise ValueError(f"{M} is not invertible mod {m}")
 
 
 def is_invertible(M, m: int) -> bool:

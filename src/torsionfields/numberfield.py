@@ -17,7 +17,7 @@ whether a given element is a square in its field, exactly and at any height:
 
 `rational_roots` finds the rational roots of a monic rational polynomial by
 exact integer bisection.  Numeric values appear only where a complex value
-is wanted (`cubic_roots`, `CubicElement.embed`); no square test uses them.
+is wanted (`cubic_roots`, `embed`); no square test uses them.
 
 Representation.  A cubic field keeps t^3 + a t + b as integers ai, bi over
 one positive denominator e.  A cubic element is (n0 + n1 t + n2 t^2) / d
@@ -27,9 +27,12 @@ gcd, and equal elements have equal integers.  Norm, inverse and the
 characteristic polynomial come from one integer adjugate of the
 multiplication matrix.  A tower element is a pair (u, v) meaning
 u + v*sqrt(D), with u, v in the floor below: a Fraction over Q, a cubic
-element, or another tower element.  `lift` carries a rational or a
-lower-floor element up into a field, and `to_mpf` turns a rational into an
-mpmath number.
+element, or another tower element.  Two square roots s, t over one floor
+F can also be worked on the basis (1, s, t, st) with coordinates in F:
+`biquadratic_mul` multiplies there with a dozen floor products, where the
+nested tower F(s)(t) would renormalize at every level.  `lift` carries a
+rational or a lower-floor element up into a field, and `to_mpf` turns a
+rational into an mpmath number.
 
 ``multiquadratic_reduce`` implements the subset trick: theta is a square in
 base(sqrt(d_1), ..., sqrt(d_k)) iff theta * prod_{i in S} d_i is a square in
@@ -233,6 +236,27 @@ def to_mpf(q):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
+def embed(field, x, gens=None):
+    """The value of x under the distinguished embedding of `field` (None
+    meaning Q), at the working precision: the largest real root of a cubic
+    floor, principal square roots above.  `gens` caches, per floor, that
+    cubic root or the square root of its radicand."""
+    if field is None:
+        return to_mpf(x)
+    gens = {} if gens is None else gens
+    if id(field) not in gens:
+        if isinstance(field, CubicField):
+            g = max((r for r in field.embeddings() if not mpmath.im(r)),
+                    key=mpmath.re)
+        else:
+            g = mpmath.sqrt(mpmath.mpc(embed(field.base, field.radicand, gens)))
+        gens[id(field)] = (field, g)     # holding field keeps its id unique
+    g = gens[id(field)][1]
+    if isinstance(field, CubicField):
+        return mpmath.mpc(to_mpf(x.c0) + to_mpf(x.c1) * g + to_mpf(x.c2) * g * g)
+    return embed(field.base, x.u, gens) + embed(field.base, x.v, gens) * g
+
+
 def cubic_roots(a, b, extraprec: int):
     """Roots of t^3 + a t + b (irreducible over Q) at the working precision,
     in closed form: the real roots first, ascending, as mpf, then any
@@ -392,11 +416,6 @@ class CubicElement:
     def __hash__(self):
         return hash((self.field, self.n0, self.n1, self.n2, self.d))
 
-    def embed(self, i: int):
-        """Value under the i-th embedding, at the working precision."""
-        r = self.field.embeddings()[i]
-        return to_mpf(self.c0) + to_mpf(self.c1) * r + to_mpf(self.c2) * r * r
-
     def __repr__(self):
         return f"({self.c0}) + ({self.c1})*t + ({self.c2})*t^2"
 
@@ -456,9 +475,6 @@ class QuadTower:
 
     def elt(self, u, v=0) -> "TowerElement":
         return TowerElement(self, lift(self.base, u), lift(self.base, v))
-
-    def from_rational(self, q):
-        return self.elt(q, 0)
 
     def gen(self) -> "TowerElement":
         """sqrt(D) itself."""
@@ -564,6 +580,24 @@ class TowerElement:
 
     def __repr__(self):
         return f"({self.u!r}) + ({self.v!r})*sqrt(D)"
+
+
+def biquadratic_mul(p, q, a, b):
+    """(p0 + p1 s + p2 t + p3 st)(q0 + ... + q3 st) with s^2 = a, t^2 = b in
+    a floor F; coordinates are elements of F or rationals, zeros skipped.
+    Index bit 0 stands for s and bit 1 for t, so basis vectors i and j
+    multiply to vector i ^ j times a if both hold s and b if both hold t."""
+    out = [0, 0, 0, 0]
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            if pi and qj:
+                c = pi * qj
+                if i & j & 1:
+                    c = c * a
+                if i & j & 2:
+                    c = c * b
+                out[i ^ j] = out[i ^ j] + c if out[i ^ j] else c
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .finitefield import (
     poly_divmod,
     pow_elt,
 )
+from .gl2 import divisors, factor_int, mat_mul, mat_order
 
 MAX_M = 13
 
@@ -53,25 +54,6 @@ _PRIM_STRIP = {4: (), 6: (3,), 8: (4,), 9: (3,), 10: (5,), 12: (6, 4)}
 
 class TorsionConstructionError(ValueError):
     pass
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +391,7 @@ class TorsionData:
         """[F_q(gens) : F_q]: least k | n with Frobenius^k fixing every gen."""
         F = self.field
         gens = list(gens)
-        for k in _divisors(self.n):
+        for k in divisors(self.n):
             if all(F.fixed_by(g, k) for g in gens):
                 return k
         raise AssertionError("no fixing power found below n")
@@ -460,7 +442,7 @@ def rebase(td: TorsionData, U: tuple) -> TorsionData:
         key: ((Ui[0] * i + Ui[1] * j) % m, (Ui[2] * i + Ui[3] * j) % m)
         for key, (i, j) in td._decomp.items()
     }
-    frob = _mat_mul2(_mat_mul2(Ui, td.frobenius, m), U, m)
+    frob = mat_mul(mat_mul(Ui, td.frobenius, m), U, m)
     return TorsionData(
         q=td.q, A=td.A, B=td.B, m=m, n=td.n, field=td.field, curve=td.curve,
         P1=table[(1, 0)], P2=table[(0, 1)], frobenius=frob,
@@ -484,7 +466,7 @@ def _primitive_x_poly(D: DivisionPolynomials, m: int) -> np.ndarray:
 def _exact_order(E: EllipticCurve, P, m: int) -> bool:
     if E.mul(P, m) is not None:
         return False
-    return all(E.mul(P, m // ell) is not None for ell in _prime_factors(m))
+    return all(E.mul(P, m // ell) is not None for ell in factor_int(m))
 
 
 def _group_order_over_ext(q: int, A: int, B: int, n: int) -> int:
@@ -508,7 +490,7 @@ def _random_exact_order_points(E: EllipticCurve, q, A, B, m, n, rng):
     F = E.field
     N = _group_order_over_ext(q, A, B, n)
     assert N % (m * m) == 0, "E[m] not rational over the built field"
-    ells = _prime_factors(m)
+    ells = factor_int(m)
     M, L = N, 1
     for ell in ells:
         while M % ell == 0:
@@ -538,7 +520,7 @@ def _random_exact_order_points(E: EllipticCurve, q, A, B, m, n, rng):
 
 def _independent(E: EllipticCurve, P1, P2, m: int) -> bool:
     """Do P1, P2 form a basis of E[m]?  (Reduction mod each prime factor.)"""
-    for ell in _prime_factors(m):
+    for ell in factor_int(m):
         k = m // ell
         Q1 = E.mul(P1, k)
         Q2 = E.mul(P2, k)
@@ -591,23 +573,6 @@ def _build_table(E: EllipticCurve, P1, P2, m: int):
     return table
 
 
-def _mat_mul2(Mat, N, m):
-    a, b, c, d = Mat
-    e, f, g, h = N
-    return ((a * e + b * g) % m, (a * f + b * h) % m,
-            (c * e + d * g) % m, (c * f + d * h) % m)
-
-
-def _mat_order(Mat, m: int) -> int:
-    ident = (1, 0, 0, 1)
-    cur = Mat
-    for k in range(1, 4 * MAX_M * MAX_M * MAX_M):
-        if cur == ident:
-            return k
-        cur = _mat_mul2(cur, Mat, m)
-    raise AssertionError("frobenius matrix order did not terminate")
-
-
 def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2) -> TorsionData:
     """Canonical basis, table, Frobenius matrix and pairing root."""
     table = _build_table(E, P1, P2, m)
@@ -641,11 +606,11 @@ def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2) -> TorsionData:
     b, d = frob["2"]
     mat = (a, b, c, d)
     assert (a * d - b * c) % m == q % m, "pairing equivariance broken: det != q"
-    assert _mat_order(mat, m) == n, "frobenius order does not match field degree"
+    assert mat_order(mat, m) == n, "frobenius order does not match field degree"
 
     zeta = weil_pairing(E, P1n, P2n, m)
     assert pow_elt(zeta, m) == F.one()
-    for ell in _prime_factors(m):
+    for ell in factor_int(m):
         assert pow_elt(zeta, m // ell) != F.one(), "pairing of a basis must be primitive"
 
     return TorsionData(

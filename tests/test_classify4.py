@@ -10,14 +10,20 @@ companion regression for the near-miss coefficient 9658/27, which gives an
 irreducible cubic and degree 96 instead.
 """
 
+import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torsionfields
 from torsionfields.classify3 import ClassificationDefect, classify3
 from torsionfields.classify4 import (
     FLAG_KEYS_4,
@@ -102,7 +108,7 @@ def test_split_singular_rejected():
 def test_split_properties(A, B):
     if 4 * A ** 3 + 27 * B ** 2 == 0:
         return
-    sp = two_torsion_split(A, B)     # Vieta identities asserted inside
+    sp = two_torsion_split(A, B)     # Vieta identities checked inside
     assert sp.dprime in (1, 2, 3, 6)
     assert sp.disc_cubic == -4 * A ** 3 - 27 * B ** 2
     if sp.dprime == 3:
@@ -149,6 +155,45 @@ def test_four_torsion_points_exact_coordinates_pinned():
             count += 1
     assert count == 156
     assert h.hexdigest() == FOUR_TORSION_SHA256
+
+
+# one curve per shape of K2: Q, Q(sqrt 13), cyclic cubic, cubic plus sqrt
+CORRUPTIBLE = [(SPLIT_A, SPLIT_B), (-22, -15), (-3, 1), (-4, 1)]
+
+
+def _corrupted_split(A, B):
+    split = two_torsion_split(A, B)
+    return dataclasses.replace(split, gamma=split.gamma + 1)
+
+
+@pytest.mark.parametrize("A,B", CORRUPTIBLE)
+def test_four_torsion_points_rejects_a_corrupted_split(A, B):
+    # the exact curve identity fails before any numeric check runs
+    with pytest.raises(ClassificationDefect, match="curve identity"):
+        four_torsion_points(_corrupted_split(A, B))
+
+
+def test_exact_checks_survive_python_optimize():
+    # under python -O every bare assert is gone; the exact checks are not
+    script = textwrap.dedent(f"""
+        import dataclasses
+        from fractions import Fraction
+        from torsionfields.classify4 import four_torsion_points, two_torsion_split
+        from torsionfields.numberfield import ClassificationDefect
+        assert False, "asserts must be off under -O"
+        for A, B in {[(str(A), str(B)) for A, B in CORRUPTIBLE]!r}:
+            split = two_torsion_split(Fraction(A), Fraction(B))
+            split = dataclasses.replace(split, gamma=split.gamma + 1)
+            try:
+                four_torsion_points(split)
+            except ClassificationDefect as exc:
+                print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(torsionfields.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", script], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["curve identity fails in the tower"] * 4
 
 
 def test_four_torsion_split_curve_lands_in_gaussian_rationals():

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torsionfields
 from torsionfields.curve import (
+    COUNT_CHUNK,
     DivisionPolynomials,
     EllipticCurve,
     SingularCurveError,
@@ -10,7 +16,8 @@ from torsionfields.curve import (
     discriminant,
     enumerate_points,
 )
-from torsionfields.finitefield import PrimeField, poly_deg, poly_eval
+from torsionfields.finitefield import PrimeField, is_prime, poly_deg, poly_eval
+from torsionfields.gl2 import legendre
 
 
 def test_discriminant_values():
@@ -120,6 +127,44 @@ def test_count_matches_enumeration():
                 continue
             E = EllipticCurve(F, F.from_int(A), F.from_int(B))
             assert len(enumerate_points(E)) == count_points_prime(p, A, B)
+
+
+def _naive_count(p, A, B):
+    # 1 + sum over x of (1 + Legendre symbol of x^3 + A x + B)
+    return 1 + sum(1 + legendre(x ** 3 + A * x + B, p) for x in range(p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(5, 9973), st.integers(0, 10 ** 4), st.integers(0, 10 ** 4),
+       st.sampled_from([COUNT_CHUNK, 7, 64, 1000]))
+def test_count_matches_legendre_sum(q, A, B, chunk):
+    p = next(n for n in range(q, 2 * q) if is_prime(n))
+    A, B = A % p, B % p
+    assert count_points_prime(p, A, B, chunk) == _naive_count(p, A, B)
+
+
+def test_count_across_chunk_boundaries():
+    # p = 1009 squares x < 505 and counts x < 1009: chunks 64 and 72 end
+    # both ranges inside a pass, 505 fills the squares in exactly one pass,
+    # and 1008 leaves a single x for the last one
+    for p, chunk in ((1009, 64), (1009, 72), (1009, 505), (1009, 1008), (97, 7)):
+        for A, B in ((1, 1), (0, 3), (5, 0), (p - 1, 2)):
+            assert count_points_prime(p, A, B, chunk) == _naive_count(p, A, B)
+
+
+def test_count_memory_stays_bounded_at_large_q():
+    # the int64 work runs in chunks: only the one-byte table grows with q
+    script = ("import resource\n"
+              "from torsionfields.curve import count_points_prime\n"
+              "n = count_points_prime(10000019, 1, 1)\n"
+              "print(n, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(torsionfields.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    n, peak_kb = int(out[0]), int(out[1])
+    assert (n - 10000020) ** 2 <= 4 * 10000019
+    assert peak_kb < 120 * 1024
 
 
 # -- division polynomials ----------------------------------------------------

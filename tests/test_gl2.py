@@ -1,6 +1,8 @@
 import random
 from math import gcd
 
+import pytest
+
 from torsionfields.gl2 import (
     ETA,
     I2,
@@ -58,6 +60,14 @@ def test_eta_order_is_2p():
         assert mat_order(ETA, p) == 2 * p
     # odd prime powers too: the unipotent square has full additive order
     assert mat_order(ETA, 9) == 18
+
+
+def test_mat_order_rejects_a_singular_matrix():
+    # a bound that holds under python -O, not an endless loop
+    with pytest.raises(ValueError):
+        mat_order((1, 0, 0, 0), 5)
+    with pytest.raises(ValueError):
+        mat_order((2, 0, 0, 1), 4)
 
 
 def test_reduction_kernel_4_to_2():
