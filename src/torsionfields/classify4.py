@@ -23,7 +23,6 @@ from .numberfield import (
     ClassificationDefect,
     CubicField,
     QuadTower,
-    TowerElement,
     biquadratic_mul,
     embed,
     is_rational_square,
@@ -167,16 +166,14 @@ def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
             rn, an, bn = (embed(K, z, gens) for z in (r0, a, b))
             sn, tn = mpmath.sqrt(mpmath.mpc(an)), mpmath.sqrt(mpmath.mpc(bn))
             for sign in (1, -1):
-                xc, yc = (r0, 0, 0, sign), (0, b * sign, a, 0)
+                xc, yc = (r0, zero, zero, sign), (zero, b * sign, a, zero)
                 xx = biquadratic_mul(xc, xc, a, b)
                 fx = biquadratic_mul(xc, (xx[0] + A,) + xx[1:], a, b)
                 yy = biquadratic_mul(yc, yc, a, b)
                 if (yy[0] - B,) + yy[1:] != fx:
                     raise ClassificationDefect("curve identity fails in the tower")
-                x = TowerElement(L2, TowerElement(L1, r0, zero),
-                                 TowerElement(L1, zero, lift(K, sign)))
-                y = TowerElement(L2, TowerElement(L1, zero, yc[1]),
-                                 TowerElement(L1, a, zero))
+                x, y = (L2.elt(L1.elt(c[0], c[1]), L1.elt(c[2], c[3]))
+                        for c in (xc, yc))
                 xn = rn + (sn if sign > 0 else -sn) * tn
                 yn = (bn if sign > 0 else -bn) * sn + an * tn
                 fxn = xn ** 3 + to_mpf(A) * xn + to_mpf(B)

@@ -112,11 +112,12 @@ ENUMERATION_CAP = 10 ** 6
 COUNT_CHUNK = 1 << 16
 
 
-def count_points_prime(p: int, A: int, B: int, chunk: int = COUNT_CHUNK) -> int:
+def count_points_prime(p: int, A: int, B: int) -> int:
     """|E(F_p)| including infinity, by quadratic-character table.
 
     The table of squares takes one byte per element of F_p; the int64 work
-    runs over `chunk` values of x at a time, so it does not grow with p."""
+    runs over COUNT_CHUNK values of x at a time, so it does not grow with p."""
+    chunk = COUNT_CHUNK
     sq = np.zeros(p, dtype=bool)
     half = p // 2 + 1                   # x and -x have the same square
     for lo in range(0, half, chunk):
