@@ -28,12 +28,7 @@ from .finitefield import (
     primes_in_range,
 )
 from .gl2 import divisors, legendre, mat_pow
-from .torsion import (
-    TorsionConstructionError,
-    TorsionData,
-    rebase,
-    torsion_data,
-)
+from .torsion import TorsionData, rebase, torsion_data
 
 # how many instances of each torsion level the default suite runs
 SUITE_M_COUNTS = {3: 110, 4: 110, 5: 110, 7: 110, 8: 80, 9: 80, 11: 110, 12: 80, 13: 110}
@@ -379,30 +374,20 @@ def run_check(name: str, td: TorsionData) -> TheoremReport:
 def generate_instances(m: int, count: int, seed, q_range=SUITE_Q_RANGE):
     """Yield `count` deterministic random TorsionData instances at level m.
 
-    Singular (q, A, B) draws are silently redrawn.  Construction errors are
-    tolerated a handful of times (redraw) and then re-raised: the
-    construction is expected to be total on valid inputs, so repeats point
-    at a real defect rather than bad luck.
+    Singular (q, A, B) draws are silently redrawn.  Construction is total
+    on valid inputs, so a TorsionConstructionError is a defect and propagates.
     """
     rng = random.Random(f"suite-{seed}-m{m}")
     primes = [q for q in primes_in_range(*q_range) if m % q != 0]
     made = 0
-    failures = 0
     while made < count:
         q = rng.choice(primes)
         A = rng.randrange(q)
         B = rng.randrange(q)
         if (4 * A * A * A + 27 * B * B) % q == 0:
             continue
-        try:
-            td = torsion_data(q, A, B, m)
-        except TorsionConstructionError:
-            failures += 1
-            if failures > 5:
-                raise
-            continue
         made += 1
-        yield td
+        yield torsion_data(q, A, B, m)
 
 
 def run_suite(seed=0, m_counts=None, theorems=None) -> list[TheoremReport]:

@@ -10,12 +10,14 @@ Strategy: factor the primitive part of the m-th division polynomial over F_q.
 Each irreducible factor of degree d contributes a point defined over F_{q^d}
 or its quadratic extension (checked by an Euler criterion on x^3 + Ax + B),
 and the torsion field degree n is the lcm of those contributions.  Some
-factor always realises the full degree n when m is a prime power or odd
-(short argument: of the exact-order vectors e1, e2, e1+e2 at least one avoids
-the at most two proper "prematurely fixed by Frobenius" subgroups), so the
-torsion field can be presented as F_q[x]/(that factor), possibly extended by
-a square root of f(x1).  For m in {6, 10} the 2-part and the odd part are
-built separately and glued.
+factor always realises the full degree n for m >= 3.  For a prime power, of
+the exact-order vectors e1, e2, e1+e2 at least one avoids the at most two
+proper "prematurely fixed by Frobenius" subgroups.  For composite m, a point
+is the sum of its prime-power parts and its degree is the lcm of theirs, so
+the sum of full-degree points of each part has degree n.  The torsion field
+is presented as F_q[x]/(that factor), possibly extended by a square root of
+f(x1), and the second generator is drawn uniformly from E[m].  For m = 2 the
+field is the splitting field of the curve cubic.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .finitefield import (
     PrimeField,
     QuadExt,
     factor_squarefree,
-    find_irreducible,
     is_prime,
     is_square_mod,
     poly_deg,
@@ -54,107 +55,6 @@ _PRIM_STRIP = {4: (), 6: (3,), 8: (4,), 9: (3,), 10: (5,), 12: (6, 4)}
 
 class TorsionConstructionError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# generic-coefficient polynomial helpers (lists of field elements)
-#
-# Only used on tiny degrees (<= 12) when a root of an F_q-polynomial has to
-# be located inside an already-built extension; the hot paths stay on the
-# numpy F_q[x] layer.
-# ---------------------------------------------------------------------------
-
-def _gtrim(c):
-    while len(c) > 1 and not c[-1]:
-        c = c[:-1]
-    return c
-
-
-def _gmul(F, a, b):
-    out = [F.zero() for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _gtrim(out)
-
-
-def _gmod(F, a, g):
-    g = _gtrim(list(g))
-    dg = len(g) - 1
-    if dg == 0:
-        return [F.zero()]  # division by a unit
-    inv_lead = g[-1].inverse()
-    a = _gtrim(list(a))
-    while len(a) - 1 >= dg:
-        coef = a[-1] * inv_lead
-        shift = len(a) - 1 - dg
-        for i in range(dg):
-            a[shift + i] = a[shift + i] - coef * g[i]
-        a = _gtrim(a[:-1])
-    return a
-
-
-def _gpowmod(F, a, e: int, g):
-    result = [F.one()]
-    base = _gmod(F, a, g)
-    while e:
-        if e & 1:
-            result = _gmod(F, _gmul(F, result, base), g)
-        base = _gmod(F, _gmul(F, base, base), g)
-        e >>= 1
-    return result
-
-
-def _ggcd(F, a, b):
-    a, b = _gtrim(list(a)), _gtrim(list(b))
-    while len(b) > 1 or b[0]:
-        a, b = b, _gmod(F, a, b)
-    # monic
-    if a[-1] != F.one():
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def _groots(F, g, rng: random.Random) -> list:
-    """All roots in F of a squarefree polynomial that splits completely in F.
-
-    Cantor–Zassenhaus splitting with random shifts; the coefficients are
-    field elements.  Degrees here never exceed 12.
-    """
-    g = _gtrim(list(g))
-    if len(g) == 1:
-        return []
-    if len(g) == 2:
-        return [-(g[0] / g[1])]
-    half = (F.order() - 1) // 2
-    for _ in range(200):
-        shift = F.nth_element(rng.randrange(F.order()))
-        h = _gpowmod(F, [shift, F.one()], half, g)
-        h = _gtrim([h[0] - F.one()] + list(h[1:]))
-        d = _ggcd(F, h, g)
-        if 1 < len(d) < len(g):
-            q, _ = _gdivmod_exact(F, g, d)
-            return _groots(F, d, rng) + _groots(F, q, rng)
-    raise TorsionConstructionError("root splitting failed to converge")
-
-
-def _gdivmod_exact(F, a, g):
-    g = _gtrim(list(g))
-    dg = len(g) - 1
-    inv_lead = g[-1].inverse()
-    a = _gtrim(list(a))
-    q = [F.zero() for _ in range(max(1, len(a) - dg))]
-    while len(a) - 1 >= dg:
-        coef = a[-1] * inv_lead
-        shift = len(a) - 1 - dg
-        q[shift] = coef
-        for i in range(dg):
-            a[shift + i] = a[shift + i] - coef * g[i]
-        a = _gtrim(a[:-1])
-    return _gtrim(q), a
 
 
 # ---------------------------------------------------------------------------
@@ -260,72 +160,42 @@ def _vertical_value(E, R, T):
     return T[0] - R[0]
 
 
-def _miller_both(E: EllipticCurve, P, m: int, T1, T2):
-    """f_{m,P}(T1) and f_{m,P}(T2) as (num, den) pairs."""
-    F = E.field
-    n1 = d1 = n2 = d2 = F.one()
+def _miller(E: EllipticCurve, P, m: int, T):
+    """f_{m,P}(T) as a (num, den) pair, for the normalized Miller function."""
+    num = den = E.field.one()
     R = P
     for bit in bin(m)[3:]:
         twoR = E.add(R, R)
-        l1 = _line_value(E, R, R, T1)
-        l2 = _line_value(E, R, R, T2)
-        v1 = _vertical_value(E, twoR, T1)
-        v2 = _vertical_value(E, twoR, T2)
-        n1 = n1 * n1 * l1
-        d1 = d1 * d1 * v1
-        n2 = n2 * n2 * l2
-        d2 = d2 * d2 * v2
+        num = num * num * _line_value(E, R, R, T)
+        den = den * den * _vertical_value(E, twoR, T)
         R = twoR
         if bit == "1":
             RP = E.add(R, P)
-            l1 = _line_value(E, R, P, T1)
-            l2 = _line_value(E, R, P, T2)
-            v1 = _vertical_value(E, RP, T1)
-            v2 = _vertical_value(E, RP, T2)
-            n1 = n1 * l1
-            d1 = d1 * v1
-            n2 = n2 * l2
-            d2 = d2 * v2
+            num = num * _line_value(E, R, P, T)
+            den = den * _vertical_value(E, RP, T)
             R = RP
-    assert R is None, "point order does not divide the pairing level"
-    return (n1, d1), (n2, d2)
-
-
-def _points_equal(P, Q) -> bool:
-    if P is None or Q is None:
-        return P is None and Q is None
-    return P[0] == Q[0] and P[1] == Q[1]
+    if R is not None:
+        raise TorsionConstructionError("point order does not divide the pairing level")
+    return num, den
 
 
 def weil_pairing(E: EllipticCurve, P, Q, m: int):
-    """The m-th Weil pairing e_m(P, Q); both points must have order | m."""
+    """The m-th Weil pairing e_m(P, Q); both points must have order | m.
+
+    e_m(P, Q) = (-1)^m f_{m,P}(Q) / f_{m,Q}(P) for the normalized Miller
+    functions (Miller, J. Cryptology 17, 2004).  A line or vertical of either
+    loop vanishes at the other point only if one point is a multiple of the
+    other, and then the pairing is 1.
+    """
     F = E.field
     if P is None or Q is None:
         return F.one()
-    PmQ = E.add(P, E.neg(Q))
-    excluded = [None, P, E.neg(Q), PmQ]
-    for c in range(5000):
-        x = F.nth_element(c)
-        fx = E.f(x)
-        if not fx:
-            continue
-        y = F.sqrt(fx)
-        if y is None:
-            continue
-        S = (x, y)
-        if any(_points_equal(S, Z) for Z in excluded):
-            continue
-        QS = E.add(Q, S)
-        mS = E.neg(S)
-        PmS = E.add(P, mS)
-        (a1, b1), (a2, b2) = _miller_both(E, P, m, QS, S)
-        (a3, b3), (a4, b4) = _miller_both(E, Q, m, PmS, mS)
-        num = a1 * b2 * b3 * a4
-        den = b1 * a2 * a3 * b4
-        if not num or not den:
-            continue  # offset hit a zero of a line; rescan
-        return num / den
-    raise TorsionConstructionError("no usable pairing offset found")
+    a, b = _miller(E, P, m, Q)
+    c, d = _miller(E, Q, m, P)
+    num, den = a * d, b * c
+    if not num or not den:
+        return F.one()
+    return -(num / den) if m % 2 else num / den
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +271,8 @@ class TorsionData:
 
     def zeta_d(self, d: int):
         """A primitive d-th root of unity from the pairing, for d | m."""
-        assert self.m % d == 0 and d >= 2
+        if self.m % d or d < 2:
+            raise ValueError(f"d = {d} is not a divisor >= 2 of m = {self.m}")
         return self.weil(self.point(self.m // d, 0), self.point(0, self.m // d), d)
 
     @property
@@ -431,7 +302,8 @@ def rebase(td: TorsionData, U: tuple) -> TorsionData:
     m = td.m
     a, b, c, d = (x % m for x in U)
     det = (a * d - b * c) % m
-    assert math.gcd(det, m) == 1, "columns of U do not form a basis"
+    if math.gcd(det, m) != 1:
+        raise ValueError("columns of U do not form a basis")
     di = pow(det, -1, m)
     Ui = ((d * di) % m, (-b * di) % m, (-c * di) % m, (a * di) % m)
     table = {
@@ -459,7 +331,8 @@ def _primitive_x_poly(D: DivisionPolynomials, m: int) -> np.ndarray:
     for d in _PRIM_STRIP.get(m, ()):
         xpd, _ = D.torsion_x_polynomial(d)
         xp, r = poly_divmod(xp, xpd, D.p)
-        assert not r.any(), "divisor polynomial did not divide"
+        if r.any():
+            raise TorsionConstructionError("divisor polynomial did not divide")
     return xp
 
 
@@ -480,22 +353,41 @@ def _group_order_over_ext(q: int, A: int, B: int, n: int) -> int:
     return q ** n + 1 - s_cur
 
 
-def _random_exact_order_points(E: EllipticCurve, q, A, B, m, n, rng):
-    """Yield points of exact order m found through random curve points.
+def _ell_chain(E: EllipticCurve, Q, ell: int) -> list:
+    """[Q, ell Q, ell^2 Q, ...] down to the last nonzero multiple.
 
-    A random point is pushed into the part of E(F) supported on the primes
-    of m (multiplying by the complementary cofactor), its exact order there
-    is measured, and a multiple of exact order m is taken.
+    Its length c is the exponent of Q's order ell^c (Q in the ell-part)."""
+    chain = []
+    while Q is not None:
+        chain.append(Q)
+        Q = E.mul(Q, ell)
+    return chain
+
+
+def _torsion_points(E: EllipticCurve, q, A, B, m, n, rng):
+    """Yield uniformly random points of E[m], which must lie in E(F).
+
+    For each l^k || m, a random point is pushed into the l-part E(F)[l^v] ~
+    Z/l^a x Z/l^b (a >= b, v = a + b) by the cofactor |E(F)| / l^v.  There g
+    is a point of the largest order l^a seen so far.  While Q has order
+    l^c > l^b, l^(c-1) Q = j l^(a-1) g for some j in [1, l), and subtracting
+    j l^(a-c) g clears the lowest base-l digit of Q's <g>-component.  Once g
+    has the largest order, what is left is uniform in E[l^b], so l^(b-k) Q is
+    uniform in E[l^k].  The sum over the primes of m is uniform in E[m].
     """
     F = E.field
     N = _group_order_over_ext(q, A, B, n)
-    assert N % (m * m) == 0, "E[m] not rational over the built field"
-    ells = factor_int(m)
-    M, L = N, 1
-    for ell in ells:
+    if N % (m * m):
+        raise TorsionConstructionError("E[m] not rational over the built field")
+    M, parts = N, []
+    for ell, k in factor_int(m).items():
+        v = 0
         while M % ell == 0:
             M //= ell
-            L *= ell
+            v += 1
+        parts.append((ell, k, v))
+    # per prime: the chain of g, {j l^(a-1) g: j}, cached steps j l^s g
+    gens = {ell: ([], {}, {}) for ell, _, _ in parts}
     for _ in range(400):
         x = F.nth_element(rng.randrange(F.order()))
         fx = E.f(x)
@@ -504,18 +396,29 @@ def _random_exact_order_points(E: EllipticCurve, q, A, B, m, n, rng):
         y = F.sqrt(fx)
         if y is None:
             continue
-        Q = _jac_mul(E, (x, y), M)
-        if Q is None:
-            continue
-        o = L
-        for ell in ells:
-            while o % ell == 0 and _jac_mul(E, Q, o // ell) is None:
-                o //= ell
-        if o % m:
-            continue
-        cand = _jac_mul(E, Q, o // m)
-        if cand is not None and _exact_order(E, cand, m):
-            yield cand
+        if rng.randrange(2):
+            y = -y
+        R = _jac_mul(E, (x, y), M)
+        P = None
+        for ell, k, v in parts:
+            chain = _ell_chain(E, E.mul(R, (N // M) // ell ** v), ell)
+            if len(chain) > len(gens[ell][0]):
+                low = {_encode_point(E.mul(chain[-1], j)): j for j in range(1, ell)}
+                gens[ell] = (chain, low, {})
+            g, low, steps = gens[ell]
+            a = len(g)
+            b = v - a
+            while len(chain) > b:
+                s = a - len(chain)
+                j = low.get(_encode_point(chain[-1]))
+                if j is None:
+                    raise TorsionConstructionError("l-part is not Z/l^a x Z/l^b")
+                if (s, j) not in steps:
+                    steps[s, j] = E.neg(E.mul(g[s], j))
+                chain = _ell_chain(E, E.add(chain[0], steps[s, j]), ell)
+            if chain:
+                P = E.add(P, E.mul(chain[0], ell ** (b - k)))
+        yield P
 
 
 def _independent(E: EllipticCurve, P1, P2, m: int) -> bool:
@@ -541,7 +444,7 @@ def _complete_basis(E: EllipticCurve, P1, q, A, B, m, n, rng):
     cand = (E.field.frobenius_power(P1[0], 1), E.field.frobenius_power(P1[1], 1))
     if _independent(E, P1, cand, m):
         return cand
-    for cand in _random_exact_order_points(E, q, A, B, m, n, rng):
+    for cand in _torsion_points(E, q, A, B, m, n, rng):
         if _independent(E, P1, cand, m):
             return cand
     raise TorsionConstructionError("no independent second generator found")
@@ -561,7 +464,8 @@ def _build_table(E: EllipticCurve, P1, P2, m: int):
         table[(0, i)] = mults2[i]
     pairs = [(i, j) for i in range(1, m) for j in range(1, m)]
     dens = [mults2[j][0] - mults1[i][0] for i, j in pairs]
-    assert all(bool(d) for d in dens), "basis multiples share an abscissa"
+    if not all(dens):
+        raise TorsionConstructionError("basis multiples share an abscissa")
     invs = _batch_inverses(F, dens)
     for (i, j), inv in zip(pairs, invs):
         x1, y1 = mults1[i]
@@ -577,7 +481,8 @@ def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2) -> TorsionData:
     """Canonical basis, table, Frobenius matrix and pairing root."""
     table = _build_table(E, P1, P2, m)
     enc = {key: _encode_point(pt) for key, pt in table.items()}
-    assert len(set(enc.values())) == m * m, "generators were not independent"
+    if len(set(enc.values())) != m * m:
+        raise TorsionConstructionError("generators were not independent")
 
     # deterministic re-pick of the basis from the sorted point table
     order_of = {key: m // math.gcd(math.gcd(key[0], key[1]), m) for key in table}
@@ -605,13 +510,16 @@ def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2) -> TorsionData:
     a, c = frob["1"]
     b, d = frob["2"]
     mat = (a, b, c, d)
-    assert (a * d - b * c) % m == q % m, "pairing equivariance broken: det != q"
-    assert mat_order(mat, m) == n, "frobenius order does not match field degree"
+    if (a * d - b * c - q) % m:
+        raise TorsionConstructionError("pairing equivariance broken: det != q")
+    if mat_order(mat, m) != n:
+        raise TorsionConstructionError("frobenius order does not match field degree")
 
     zeta = weil_pairing(E, P1n, P2n, m)
-    assert pow_elt(zeta, m) == F.one()
-    for ell in factor_int(m):
-        assert pow_elt(zeta, m // ell) != F.one(), "pairing of a basis must be primitive"
+    if pow_elt(zeta, m) != F.one() or any(
+        pow_elt(zeta, m // ell) == F.one() for ell in factor_int(m)
+    ):
+        raise TorsionConstructionError("pairing of a basis must be a primitive m-th root")
 
     return TorsionData(
         q=q, A=A, B=B, m=m, n=n, field=F, curve=E, P1=P1n, P2=P2n,
@@ -619,35 +527,33 @@ def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2) -> TorsionData:
     )
 
 
-def _two_torsion_roots(q, A, B, rng):
-    """(n2, field-or-None, roots): the 2-torsion abscissas over F_q.
+def _construct_two_torsion(q, A, B, rng):
+    """m = 2: E[2] over the splitting field of the curve cubic.
 
-    When the splitting field is F_q itself the field slot is None and the
-    roots are ints; otherwise an ExtField of degree n2 is returned with the
-    roots as its elements (no root-finding: the cubic is depressed, so the
-    third root is minus the sum of the other two).
+    No root-finding is needed: with one linear factor the other roots
+    generate the quadratic factor's field, and an irreducible cubic has its
+    conjugate as a second root.
     """
     D = DivisionPolynomials(q, A, B)
     facs = factor_squarefree(D.curve_poly, q, rng)
     degs = sorted(poly_deg(g) for g in facs)
-    n2 = math.lcm(*degs)
-    if n2 == 1:
-        roots = sorted((-int(g[0])) % q for g in facs)
-        return 1, None, roots
-    big = max(facs, key=poly_deg)
-    F = ExtField(q, big)
-    r1 = F.gen()
-    if degs == [1, 2]:
-        lin = min(facs, key=poly_deg)
-        r0 = F.from_int(-int(lin[0]))
-        return 2, F, [r0, r1, -r0 - r1]
-    # irreducible cubic: the conjugate is a second root
-    r2 = F.frobenius_power(r1, 1)
-    return 3, F, [r1, r2, -r1 - r2]
+    n = math.lcm(*degs)
+    if n == 1:
+        F = PrimeField(q)
+        r0, r1, _ = (F.from_int(r) for r in sorted((-int(g[0])) % q for g in facs))
+    else:
+        F = ExtField(q, max(facs, key=poly_deg))
+        r1 = F.gen()
+        if degs == [1, 2]:
+            r0 = F.from_int(-int(min(facs, key=poly_deg)[0]))
+        else:
+            r0, r1 = r1, F.frobenius_power(r1, 1)
+    E = EllipticCurve(F, F.from_int(A), F.from_int(B))
+    return E, n, (r0, F.zero()), (r1, F.zero())
 
 
 def _construct_via_division_poly(q, A, B, m, rng):
-    """Main path for m with a guaranteed full-degree factor (all m but 6, 10)."""
+    """E over F_q(E[m]), the degree n and a point P1 of exact order m (m >= 3)."""
     D = DivisionPolynomials(q, A, B)
     prim = _primitive_x_poly(D, m)
     facs = factor_squarefree(prim, q, rng)
@@ -658,7 +564,7 @@ def _construct_via_division_poly(q, A, B, m, rng):
     n = math.lcm(*exps)
     pick = next((i for i, e in enumerate(exps) if e == n), None)
     if pick is None:
-        raise TorsionConstructionError("no full-degree factor (unexpected for this m)")
+        raise TorsionConstructionError("no full-degree factor")
     g_star = facs[pick]
     d_star = poly_deg(g_star)
     e_star = exps[pick]
@@ -686,76 +592,12 @@ def _construct_via_division_poly(q, A, B, m, rng):
     E = EllipticCurve(F, F.from_int(A), F.from_int(B))
     if y1 is None:
         y1 = F.sqrt(E.f(x1))
-        assert y1 is not None, "Euler criterion promised a square"
+        if y1 is None:
+            raise TorsionConstructionError("Euler criterion promised a square")
     P1 = (x1, y1)
     if not _exact_order(E, P1, m):
         raise TorsionConstructionError("primitive factor produced a non-exact point")
-    return F, E, n, P1
-
-
-def _construct_glued(q, A, B, m, rng):
-    """m in {6, 10}: glue E[2] and E[m/2] inside a common field."""
-    modd = m // 2
-    Fo, Eo, nodd, P1o = _construct_via_division_poly(q, A, B, modd, rng)
-    n2, F2, roots2 = _two_torsion_roots(q, A, B, rng)
-    n = math.lcm(nodd, n2)
-
-    if n == nodd:
-        F, E = Fo, Eo
-        odd_pt = P1o
-        if n2 == 1:
-            T = [(F.from_int(r), F.zero()) for r in roots2]
-        else:
-            # locate 2-torsion abscissas inside F by factoring the cubic there
-            D = DivisionPolynomials(q, A, B)
-            cubic = [F.from_int(int(c)) for c in D.curve_poly]
-            rs = _groots(F, cubic, rng)
-            assert len(rs) == 3
-            T = [(r, F.zero()) for r in sorted(rs, key=lambda r: r.encode())]
-    else:
-        if n == n2:
-            F = F2
-        else:
-            F = ExtField(q, find_irreducible(q, n))
-        E = EllipticCurve(F, F.from_int(A), F.from_int(B))
-        # embed the odd part: root of its defining polynomial inside F
-        D = DivisionPolynomials(q, A, B)
-        prim = _primitive_x_poly(D, modd)
-        facs = factor_squarefree(prim, q, rng)
-        exps = [poly_deg(g) if is_square_mod(D.curve_poly, g, q) else 2 * poly_deg(g)
-                for g in facs]
-        g_star = facs[exps.index(nodd)] if nodd in exps else facs[0]
-        gpoly = [F.from_int(int(c)) for c in g_star]
-        xs = _groots(F, gpoly, rng)
-        xo = sorted(xs, key=lambda r: r.encode())[0]
-        yo = F.sqrt(E.f(xo))
-        assert yo is not None
-        odd_pt = (xo, yo)
-        assert _exact_order(E, odd_pt, modd)
-        cubic = [F.from_int(int(c)) for c in D.curve_poly]
-        rs = _groots(F, cubic, rng)
-        assert len(rs) == 3
-        T = [(r, F.zero()) for r in sorted(rs, key=lambda r: r.encode())]
-
-    P1 = E.add(T[0], odd_pt)
-    # second generator: glue the other 2-torsion point with a second odd point
-    odd2 = _complete_basis(E, odd_pt, q, A, B, modd, n, rng)
-    P2 = E.add(T[1], odd2)
-    if not _independent(E, P1, P2, m):
-        raise TorsionConstructionError("glued generators were dependent")
-    return F, E, n, P1, P2
-
-
-def _construct_two_torsion_only(q, A, B, rng):
-    n2, F2, roots2 = _two_torsion_roots(q, A, B, rng)
-    if F2 is None:
-        F = PrimeField(q)
-        T = [(F.from_int(r), F.zero()) for r in roots2]
-    else:
-        F = F2
-        T = [(r, F.zero()) for r in roots2]
-    E = EllipticCurve(F, F.from_int(A), F.from_int(B))
-    return F, E, n2, T[0], T[1]
+    return E, n, P1
 
 
 def torsion_data(q: int, A: int, B: int, m: int) -> TorsionData:
@@ -772,10 +614,8 @@ def torsion_data(q: int, A: int, B: int, m: int) -> TorsionData:
         raise TorsionConstructionError("curve is singular mod q")
     rng = random.Random(f"torsion-{q}-{A}-{B}-{m}")
     if m == 2:
-        F, E, n, P1, P2 = _construct_two_torsion_only(q, A, B, rng)
-    elif m in (6, 10):
-        F, E, n, P1, P2 = _construct_glued(q, A, B, m, rng)
+        E, n, P1, P2 = _construct_two_torsion(q, A, B, rng)
     else:
-        F, E, n, P1 = _construct_via_division_poly(q, A, B, m, rng)
+        E, n, P1 = _construct_via_division_poly(q, A, B, m, rng)
         P2 = _complete_basis(E, P1, q, A, B, m, n, rng)
     return _finalize(q, A, B, m, n, E, P1, P2)

@@ -110,6 +110,18 @@ def test_pairing_extension_is_frobenius_power(capsys):
     assert doc["n"] == 2
 
 
+def test_pairing_composite_level_with_a_lopsided_three_part(capsys):
+    # the 3-part of E(F_19^6) is Z/3^4 x Z/3; the second generator must
+    # still be found
+    code, out, _ = run_cli(
+        capsys, "pairing", "--p", "19", "--k", "1", "--a", "12", "--b", "8", "--m", "12",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n"] == 6
+    assert doc["primitive"] is True
+
+
 def test_verify_stream(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--theorem", "zetam",

@@ -109,7 +109,7 @@ def test_rebase_transforms_frobenius_and_zeta():
 
 def test_rebase_rejects_singular_change_of_basis():
     td = _data(19, 3, 2, 4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         rebase(td, (2, 0, 0, 1))  # det 2 is not a unit mod 4
 
 

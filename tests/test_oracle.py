@@ -24,7 +24,7 @@ from torsionfields.oracle import (
     matrix_fingerprint,
     _catalog_fingerprints,
 )
-from torsionfields.torsion import TorsionConstructionError, torsion_data
+from torsionfields.torsion import torsion_data
 
 
 # (A, B, m) -> (degree, method); all stabilize within 200 good primes.
@@ -113,10 +113,7 @@ def test_order_agrees_with_torsion_field_construction():
             if ell > 40:
                 break
             _, n, _ = frobenius_fingerprint(ell, A, B, m)
-            try:
-                td = torsion_data(ell, int(A) % ell, int(B) % ell, m)
-            except TorsionConstructionError:
-                continue
+            td = torsion_data(ell, int(A) % ell, int(B) % ell, m)
             assert n == td.n, (m, A, B, ell)
             checked += 1
     assert checked > 200
@@ -136,10 +133,7 @@ def test_fingerprint_matches_frobenius_matrix():
             if ell > 60:
                 break
             _, _, fp = frobenius_fingerprint(ell, A, B, m)
-            try:
-                td = torsion_data(ell, int(A) % ell, int(B) % ell, m)
-            except TorsionConstructionError:
-                continue
+            td = torsion_data(ell, int(A) % ell, int(B) % ell, m)
             assert fp == matrix_fingerprint(td.frobenius, m), (m, A, B, ell)
             checked += 1
     assert checked > 100

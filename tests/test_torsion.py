@@ -1,14 +1,23 @@
 import math
+import os
+import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import torsionfields
 from torsionfields.curve import EllipticCurve
 from torsionfields.finitefield import PrimeField, is_prime, pow_elt
+from torsionfields.gl2 import factor_int
 from torsionfields.torsion import (
     MAX_Q,
     TorsionConstructionError,
+    _construct_via_division_poly,
     _group_order_over_ext,
     _jac_mul,
+    _torsion_points,
     torsion_data,
     weil_pairing,
 )
@@ -57,14 +66,20 @@ def test_rejects_bad_inputs():
         torsion_data(331363937, 1, 1, 5)  # first prime above the int64 bound
 
 
-# q near 10^6 and 10^7, where an unreduced int64 contraction used to wrap
 @pytest.mark.parametrize("q, A, B, m, n", [
+    # q near 10^6 and 10^7, where an unreduced int64 contraction used to wrap
     (1000003, 1, 1, 5, 24),
     (10000019, 1, 1, 5, 20),
     (1813667, 522301, 1360998, 3, 8),
     (1167359, 150851, 291016, 5, 12),
+    # an l-part Z/l^a x Z/l^b of E(F) with a > b: a cofactor-only sampler
+    # stays in one cyclic subgroup and never completes the basis
+    (19, 12, 8, 12, 6),
+    (29, 28, 17, 6, 2),
+    (137, 20, 115, 10, 4),
+    (173, 78, 54, 10, 24),
 ])
-def test_large_q_construction_is_exact(q, A, B, m, n):
+def test_construction_is_exact(q, A, B, m, n):
     td = torsion_data(q, A, B, m)
     assert td.n == n
     a, b, c, d = td.frobenius
@@ -77,6 +92,44 @@ def test_large_q_construction_is_exact(q, A, B, m, n):
         order += 1
     assert order == n
     assert _group_order_over_ext(q, A, B, n) % (m * m) == 0
+
+
+@pytest.mark.parametrize("q, A, B, m", [(19, 12, 8, 12), (7, 0, 2, 3)])
+def test_torsion_points_spread_over_the_torsion(q, A, B, m):
+    # uniform points of E[m] reach all l + 1 cyclic subgroups of each E[l];
+    # at (19, 12, 8) the 3-part of E(F_19^6) is Z/3^4 x Z/3, where a
+    # cofactor-only sampler puts nearly every point on one line
+    E, n, _ = _construct_via_division_poly(q, A, B, m, random.Random(0))
+    sampler = _torsion_points(E, q, A, B, m, n, random.Random(1))
+    points = [next(sampler) for _ in range(40)]
+    assert all(E.mul(P, m) is None for P in points)
+    for ell in factor_int(m):
+        lines = set()
+        for P in points:
+            T = E.mul(P, m // ell)
+            if T is not None:
+                lines.add(frozenset(E.mul(T, j)[0].encode() for j in range(1, ell)))
+        assert len(lines) == ell + 1, ell
+
+
+def test_construction_checks_survive_python_optimize():
+    # under python -O every bare assert is gone; the construction checks are not
+    script = textwrap.dedent("""
+        import random
+        from torsionfields.torsion import (
+            TorsionConstructionError, _construct_via_division_poly, _finalize)
+        assert False, "asserts must be off under -O"
+        E, n, P1 = _construct_via_division_poly(11, 2, 5, 5, random.Random(0))
+        try:
+            _finalize(11, 2, 5, 5, n, E, P1, E.mul(P1, 2))
+        except TorsionConstructionError as exc:
+            print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(torsionfields.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", script], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["basis multiples share an abscissa"]
 
 
 def test_two_torsion_frozen_example():
@@ -184,6 +237,21 @@ def test_pairing_properties():
             assert got == pow_elt(zeta, (i * l - j * k) % m)
 
 
+@pytest.mark.parametrize("q, A, B, m", [(5, 1, 0, 2), (7, 0, 2, 3)])
+def test_pairing_when_the_curve_is_its_torsion(q, A, B, m):
+    # E(F_q) = E[m]: no rational point lies off the torsion, and the
+    # pairing is still bilinear, alternating and primitive on a basis
+    td = _data(q, A, B, m)
+    assert td.n == 1 and len(td.table) == m * m
+    E, one = td.curve, td.field.one()
+    assert all(pow_elt(td.zeta, m // ell) != one for ell in factor_int(m))
+    keys = [(i, j) for i in range(m) for j in range(m)]
+    for i, j in keys:
+        for k, l in keys:
+            got = weil_pairing(E, td.point(i, j), td.point(k, l), m)
+            assert got == pow_elt(td.zeta, (i * l - j * k) % m)
+
+
 def test_pairing_galois_equivariance():
     for q, A, B, m in [(13, 1, 1, 3), (11, 2, 5, 5), (5, 1, 1, 8)]:
         td = _data(q, A, B, m)
@@ -217,7 +285,7 @@ def test_rational_torsion_forces_random_completion():
     assert len({k for k in td.table}) == 9
 
 
-def test_glued_even_composites():
+def test_even_composites_match_their_parts():
     td6 = _data(5, 0, 1, 6)
     td2 = _data(5, 0, 1, 2)
     td3 = _data(5, 0, 1, 3)
