@@ -241,7 +241,8 @@ class DivisionPolynomials:
         abscissas of the 2-torsion points — the roots of the curve cubic —
         complete the picture.
         """
-        assert m >= 2
+        if m < 2:
+            raise ValueError(f"m must be at least 2, got {m}")
         if m == 2:
             return poly_make_monic(self.curve_poly, self.p), True
         return poly_make_monic(self[m], self.p), m % 2 == 0

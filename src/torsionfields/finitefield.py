@@ -120,6 +120,9 @@ def poly_deg(a: np.ndarray) -> int:
     return -1 if len(nz) == 0 else int(nz[-1])
 
 
+_X = np.array([0, 1], dtype=np.int64)
+
+
 def poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.convolve(a, b) % p
 
@@ -135,7 +138,8 @@ def poly_make_monic(a: np.ndarray, p: int) -> np.ndarray:
 def poly_divmod(a: np.ndarray, g: np.ndarray, p: int):
     """Quotient and remainder by monic g."""
     n = poly_deg(g)
-    assert n >= 0 and int(g[n]) == 1
+    if n < 0 or int(g[n]) != 1:
+        raise ValueError("divisor must be monic")
     a = poly_trim(a % p)
     if len(a) <= n:
         return np.zeros(1, dtype=np.int64), a
@@ -224,7 +228,8 @@ class ModRing:
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         """a^e mod g, trimmed."""
-        assert e >= 0
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
         result = self.reduce(np.ones(1, dtype=np.int64))
         base = self.reduce(a)
         while e:
@@ -234,6 +239,21 @@ class ModRing:
             if e:
                 base = self.mul(base, base)
         return poly_trim(result)
+
+    def frobenius_matrix(self) -> np.ndarray:
+        """The n x n matrix of h -> h^p: column j is x^{jp} mod g.
+
+        Its entries are below p, so ``Q @ h % p`` forms dot products of n
+        terms below (p - 1)^2 and keeps the int64 bound of ``mul``.
+        """
+        xp = self.reduce(self.pow(_X, self.p))
+        m = np.zeros((self.n, self.n), dtype=np.int64)
+        m[0, 0] = 1
+        col = m[:, 0]
+        for j in range(1, self.n):
+            col = self.mul(col, xp)
+            m[:, j] = col
+        return m
 
 
 def is_square_mod(t: np.ndarray, g: np.ndarray, p: int) -> bool:
@@ -249,30 +269,16 @@ def poly_eval(a: np.ndarray, x: int, p: int) -> int:
     return acc
 
 
-_X = np.array([0, 1], dtype=np.int64)
-
-
 def poly_is_irreducible(f: np.ndarray, p: int) -> bool:
-    """Irreducibility over F_p: gcd(x^{p^i} - x, f) = 1 for i <= deg/2 and
-    x^{p^deg} = x mod f."""
-    f = poly_make_monic(f, p)
-    k = poly_deg(f)
+    """Irreducibility over F_p: the first distinct-degree block is f itself.
+
+    A repeated factor has degree at most deg(f)/2, so it shows up in an
+    earlier block even when f is not squarefree.
+    """
+    k = poly_deg(poly_make_monic(f, p))
     if k <= 0:
         return False
-    if k == 1:
-        return True
-    h = _X.copy()
-    for i in range(1, k + 1):
-        h = poly_pow_mod(h, p, f, p)
-        if i <= k // 2:
-            diff = h.copy().astype(np.int64)
-            width = max(len(diff), 2)
-            d = np.zeros(width, dtype=np.int64)
-            d[: len(diff)] += diff
-            d[1] -= 1
-            if poly_deg(poly_gcd(d % p, f, p)) != 0:
-                return False
-    return poly_deg(h) == 1 and int(h[0]) == 0 and int(h[1]) == 1
+    return next(distinct_degree_blocks(f, p))[0] == k
 
 
 def find_irreducible(p: int, k: int) -> np.ndarray:
@@ -281,7 +287,8 @@ def find_irreducible(p: int, k: int) -> np.ndarray:
     Coefficient tuples (c_{k-1}, ..., c_0) are scanned in ascending order, so
     find_irreducible(5, 2) is x^2 + 2.
     """
-    assert k >= 1
+    if k < 1:
+        raise ValueError("degree must be at least 1")
     if k == 1:
         return np.array([0, 1], dtype=np.int64)
     for idx in range(p ** k):
@@ -307,32 +314,65 @@ def _poly_sub_x(h: np.ndarray) -> np.ndarray:
     return d
 
 
-def factor_squarefree(g: np.ndarray, p: int, rng: random.Random) -> list[np.ndarray]:
-    """Irreducible factors of a squarefree monic g over F_p.
+def distinct_degree_blocks(g: np.ndarray, p: int, t: np.ndarray | None = None):
+    """Distinct-degree blocks (d, P_d, squares) of g over F_p, d increasing.
 
-    Returned factors are monic, sorted by (degree, coefficient tuple) so the
-    factorization is deterministic even though the equal-degree splitting uses
-    the supplied rng.
+    P_d is the product of the degree-d irreducible factors of g, for every d
+    that has one; for squarefree g the blocks multiply to monic g.  The
+    powers x^{p^d} mod g are matrix-vector products with the Frobenius
+    matrix of g, which is built once: gcd(x^{p^d} - x, rest) does not change
+    when x^{p^d} is reduced mod g rather than mod the shrinking rest.
+
+    With t given, squares counts the factors f of P_d on which t is a
+    nonzero square, deg gcd(P_d, W_d - 1) / d with W_d = t^{(p^d - 1)/2}
+    mod g.  W_d is the product of sigma^i(u) over i < d, u = t^{(p-1)/2},
+    sigma the Frobenius (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, sec. 14.2-14.3); squares is None without t.
     """
     g = poly_make_monic(g, p)
-    out: list[np.ndarray] = []
-    h = _X.copy()
-    rest = g
-    ring = ModRing(rest, p)
-    d = 0
+    if poly_deg(g) <= 0:
+        return
+    ring = ModRing(g, p)
+    frob = ring.frobenius_matrix()
+    h = ring.reduce(_X)
+    if t is not None:
+        sigma_u = ring.reduce(ring.pow(t, (p - 1) // 2))
+        w, w_deg = ring.reduce(np.ones(1, dtype=np.int64)), 0
+    rest, d = g, 0
     while poly_deg(rest) > 0:
         d += 1
         if 2 * d > poly_deg(rest):
-            out.append(rest)
-            break
-        h = ring.pow(h, p)
-        part = poly_gcd(_poly_sub_x(h) % p, rest, p)
-        if poly_deg(part) > 0:
-            out.extend(_equal_degree_split(part, d, p, rng))
-            rest = poly_divmod(rest, part, p)[0]
-            rest = poly_make_monic(rest, p)
-            ring = ModRing(rest, p)
-            h = poly_mod(h, rest, p)
+            # no factor of degree <= deg/2 is left: rest is irreducible
+            d, part = poly_deg(rest), rest
+        else:
+            h = frob @ h % p
+            part = poly_gcd(_poly_sub_x(h) % p, rest, p)
+            if poly_deg(part) <= 0:
+                continue
+        squares = None
+        if t is not None:
+            while w_deg < d:
+                if w_deg:
+                    sigma_u = frob @ sigma_u % p
+                w, w_deg = ring.mul(w, sigma_u), w_deg + 1
+            w_minus_1 = w.copy()
+            w_minus_1[0] -= 1
+            squares = poly_deg(poly_gcd(w_minus_1, part, p)) // d
+        yield d, part, squares
+        rest = poly_make_monic(poly_divmod(rest, part, p)[0], p)
+
+
+def factor_squarefree(g: np.ndarray, p: int, rng: random.Random) -> list[np.ndarray]:
+    """Irreducible factors of a squarefree monic g over F_p.
+
+    Each distinct-degree block is split by ``_equal_degree_split`` in block
+    order.  Returned factors are monic, sorted by (degree, coefficient tuple)
+    so the factorization is deterministic even though the equal-degree
+    splitting uses the supplied rng.
+    """
+    out: list[np.ndarray] = []
+    for d, part, _ in distinct_degree_blocks(g, p):
+        out.extend(_equal_degree_split(part, d, p, rng))
     out.sort(key=lambda f: (poly_deg(f), tuple(int(c) for c in f)))
     return out
 
@@ -360,17 +400,17 @@ def _equal_degree_split(part: np.ndarray, d: int, p: int, rng: random.Random) ->
 
 
 def poly_roots(g: np.ndarray, p: int) -> list[int]:
-    """Roots in F_p of a squarefree g (no multiplicities), ascending."""
+    """Roots in F_p of g (no multiplicities), ascending.
+
+    The linear part gcd(x^p - x, g) is split into its roots by equal-degree
+    splitting with a fixed seed, so the cost grows with log p, not p.
+    """
     g = poly_make_monic(g, p)
     xp = poly_pow_mod(_X, p, g, p)
     lin = poly_gcd(_poly_sub_x(xp) % p, g, p)
-    deg = poly_deg(lin)
-    if deg <= 0:
+    if poly_deg(lin) <= 0:
         return []
-    if deg == 1:
-        return [(-int(lin[0])) % p]
-    roots = [x for x in range(p) if poly_eval(lin, x, p) == 0]
-    return roots
+    return sorted((-int(f[0])) % p for f in _equal_degree_split(lin, 1, p, random.Random(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +525,10 @@ class ExtField:
         g = poly_make_monic(modulus, p)
         self.modulus = g
         self.degree = poly_deg(g)
-        assert self.degree >= 2
-        if check_irreducible:
-            assert poly_is_irreducible(g, p), "modulus must be irreducible"
+        if self.degree < 2:
+            raise ValueError("modulus must have degree at least 2")
+        if check_irreducible and not poly_is_irreducible(g, p):
+            raise ValueError("modulus must be irreducible")
         self._ring = ModRing(g, p)
         self._frob_mats: dict[int, np.ndarray] = {}
 
@@ -537,18 +578,11 @@ class ExtField:
         k %= self.degree
         if k in self._frob_mats:
             return self._frob_mats[k]
-        n, p = self.degree, self.p
+        n = self.degree
         if k == 0:
             m = np.eye(n, dtype=np.int64)
         elif 1 not in self._frob_mats:
-            ring = self._ring
-            xp = ring.reduce(ring.pow(_X, p))
-            m = np.zeros((n, n), dtype=np.int64)
-            m[0, 0] = 1
-            col = m[:, 0]
-            for j in range(1, n):
-                col = ring.mul(col, xp)
-                m[:, j] = col
+            m = self._ring.frobenius_matrix()
             self._frob_mats[1] = m
             if k != 1:
                 m = self.frobenius_power_matrix(k)
@@ -719,7 +753,8 @@ class QuadExt:
                 return self._canonical(self.elt(r, base.zero()))
             # a nonsquare in the base differs from t by a square factor
             r = base.sqrt(a / self.t)
-            assert r is not None
+            if r is None:
+                raise ArithmeticError("the adjoined element is a square in the base")
             return self._canonical(self.elt(base.zero(), r))
         w = base.sqrt(a * a - b * b * self.t)
         if w is None:
@@ -802,8 +837,9 @@ class QuadExtElement:
 
 def pow_elt(x, e: int):
     """x^e by binary powering, for any field element (e >= 0)."""
-    result = x.field.one() if hasattr(x, "field") else None
-    assert result is not None
+    if not hasattr(x, "field"):
+        raise ValueError(f"not a field element: {x!r}")
+    result = x.field.one()
     while e:
         if e & 1:
             result = result * x
@@ -859,6 +895,7 @@ def ts_sqrt(field, a):
             b = pow_elt(c, 1 << (m - i - 1))
             m, c = i, b * b
             t, r = t * c, r * b
-    assert r * r == a
+    if r * r != a:
+        raise ArithmeticError("Tonelli-Shanks root does not square back")
     neg = -r
     return r if r.encode() <= neg.encode() else neg

@@ -28,25 +28,23 @@ themselves exactly when the curve cubic is a square in F_ell[x]/(g).
 So each factor contributes orbits of size d, d (square) or 2d (not), the
 2-torsion cubic contributes its own factor degrees, and n_ell is the lcm
 of all orbit sizes.
+
+The factors themselves are never computed.  The distinct-degree blocks
+P_d of the abscissa polynomial (P_d the product of its degree-d factors)
+give the factor degrees, and each block counts its square factors as
+deg gcd(P_d, f^{(ell^d - 1)/2} - 1) / d, with f the curve cubic.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .curve import DivisionPolynomials, count_points_prime, discriminant
-from .finitefield import (
-    factor_squarefree,
-    is_prime,
-    is_square_mod,
-    poly_deg,
-    poly_roots,
-)
+from .finitefield import distinct_degree_blocks, is_prime, poly_deg
 from .gl2 import (
     gl2_order,
     mat_det,
@@ -113,19 +111,18 @@ def frobenius_fingerprint(ell: int, A: Fraction, B: Fraction, m: int):
         cubic = poly
     else:
         cubic = dp.curve_poly if has_two_part else None
-        for g in factor_squarefree(poly, ell, random.Random(0)):
-            d = poly_deg(g)
-            main_degs.append(d)
-            if is_square_mod(dp.curve_poly, g, ell):
-                vec_degs.extend((d, d))
-            else:
-                vec_degs.append(2 * d)
+        for d, part, squares in distinct_degree_blocks(poly, ell, dp.curve_poly):
+            count = poly_deg(part) // d
+            main_degs.extend([d] * count)
+            vec_degs.extend([d] * (2 * squares) + [2 * d] * (count - squares))
 
-    if cubic is None:
-        cub_degs: tuple[int, ...] = ()
-    else:
-        r = len(poly_roots(cubic, ell))
-        cub_degs = {3: (1, 1, 1), 1: (1, 2), 0: (3,)}[r]
+    cub_degs: tuple[int, ...] = ()
+    if cubic is not None:
+        cub_degs = tuple(
+            d
+            for d, part, _ in distinct_degree_blocks(cubic, ell)
+            for _ in range(poly_deg(part) // d)
+        )
 
     n = 1
     for d in vec_degs:
@@ -222,7 +219,8 @@ def _catalog_estimate(m: int, observed: Counter) -> int:
         key = (-loglik, order)
         if best is None or key < best:
             best = key
-    assert best is not None, "the full group is always compatible"
+    if best is None:
+        raise ArithmeticError("no catalog class fits; the full group always does")
     return best[1]
 
 

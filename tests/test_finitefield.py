@@ -6,17 +6,24 @@ small polynomials, and subfield fixing behaviour, all cross-checked by direct
 enumeration rather than by the code under test.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import torsionfields
 from torsionfields.finitefield import (
     ExtField,
     ModRing,
     PrimeField,
     QuadExt,
+    distinct_degree_blocks,
     factor_squarefree,
     find_irreducible,
     is_prime,
@@ -37,6 +44,8 @@ from torsionfields.finitefield import (
     ts_sqrt,
 )
 from torsionfields.torsion import MAX_Q
+
+_X = np.array([0, 1], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +362,98 @@ def test_modring_refuses_moduli_that_overflow_int64():
     ModRing(g[1:], _TOP_PRIME)  # degree 84: n (p - 1)^2 < 2^63
     with pytest.raises(OverflowError):
         ModRing(g, _TOP_PRIME)
+
+
+def test_modring_frobenius_matrix_columns_are_pth_powers():
+    rng = random.Random(3)
+    for p in (5, 1000003, _TOP_PRIME):
+        for n in (1, 2, 5, 12):
+            g = _arr([rng.randrange(p) for _ in range(n)] + [1])
+            ring = ModRing(g, p)
+            Q = ring.frobenius_matrix()
+            for j in range(n):
+                xj = _arr([0] * j + [1])
+                assert Q[:, j].tolist() == _padded(ring.pow(xj, p).tolist(), n), (p, n, j)
+
+
+# ---------------------------------------------------------------------------
+# distinct-degree blocks
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _block_case(draw):
+    p = draw(st.one_of(st.sampled_from([5, 7, 13]), _PRIMES))
+    n = draw(st.integers(1, 12))
+    coeff = st.integers(0, p - 1)
+    g = draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
+    t = draw(st.lists(coeff, min_size=1, max_size=n + 2))
+    return p, g, t
+
+
+def _minus_x(h):
+    c = _padded(h.tolist(), max(len(h), 2))
+    c[1] -= 1
+    return _arr(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_case())
+@example((7, [6, 0, 0, 0, 0, 0, 1], [3, 0, 1]))  # x^6 - 1 splits over F_7
+@example((5, [1, 1, 0, 1], [4, 1, 0, 1]))  # t = g + 3: zero on no factor
+@example((13, [0, 1, 1], [0, 1]))  # t = x vanishes on the factor x
+def test_distinct_degree_blocks_against_definition(case):
+    p, g, t = case
+    g = _arr(g)
+    assume(poly_deg(poly_gcd(g, _derivative(g, p), p)) == 0)
+    blocks = list(distinct_degree_blocks(g, p, _arr(t)))
+    assert [d for d, _, _ in blocks] == sorted({d for d, _, _ in blocks})
+    prod = np.ones(1, dtype=np.int64)
+    for d, part, _ in blocks:
+        prod = poly_mul(prod, part, p)
+    assert prod.tolist() == g.tolist()
+    factors = factor_squarefree(g, p, random.Random(0))
+    for d, part, squares in blocks:
+        ring = ModRing(part, p)
+        assert poly_deg(poly_gcd(_minus_x(ring.pow(_X, p ** d)), part, p)) == poly_deg(part)
+        for e in range(1, d):
+            assert poly_deg(poly_gcd(_minus_x(ring.pow(_X, p ** e)), part, p)) == 0
+        block_factors = [f for f in factors if poly_deg(f) == d]
+        assert poly_deg(part) == d * len(block_factors)
+        assert squares == sum(is_square_mod(_arr(t), f, p) for f in block_factors)
+    assert [s for _, _, s in distinct_degree_blocks(g, p)] == [None] * len(blocks)
+    # irreducible exactly when g is its own first block; a square never is
+    assert poly_is_irreducible(g, p) == (len(factors) == 1)
+    assert not poly_is_irreducible(poly_mul(factors[0], factors[0], p), p)
+
+
+def test_poly_roots_of_a_split_cubic_at_the_largest_prime():
+    p = _TOP_PRIME
+    roots = [3, p // 2, p - 7]
+    g = np.ones(1, dtype=np.int64)
+    for r in roots:
+        g = poly_mul(g, _arr([-r % p, 1]), p)
+    g = poly_mul(g, _arr([1, 0, 1]), p)  # x^2 + 1 has no root: p = 3 mod 4
+    assert p % 4 == 3
+    start = time.process_time()
+    assert poly_roots(g, p) == sorted(roots)
+    assert time.process_time() - start < 1.0
+
+
+def test_input_checks_survive_python_optimize():
+    # under python -O every bare assert is gone; these checks are not
+    script = textwrap.dedent("""
+        import numpy as np
+        from torsionfields.finitefield import ExtField, poly_divmod
+        assert False, "asserts must be off under -O"
+        for call in (lambda: poly_divmod(np.array([1, 2, 3]), np.array([1, 2]), 5),
+                     lambda: ExtField(5, np.array([4, 0, 1]), check_irreducible=True)):
+            try:
+                call()
+            except ValueError as exc:
+                print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(torsionfields.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", script], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["divisor must be monic", "modulus must be irreducible"]

@@ -6,6 +6,7 @@ degree estimates against the exact m=3 / m=4 classifiers.  Expected
 values below were frozen from hand-checked classifications.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from torsionfields.classify3 import classify3
 from torsionfields.classify4 import classify4
-from torsionfields.curve import discriminant
+from torsionfields.curve import DivisionPolynomials, discriminant
+from torsionfields.finitefield import factor_squarefree, is_square_mod, poly_deg, poly_roots
 from torsionfields.gl2 import gl2_order
 from torsionfields.oracle import (
     chebotarev_degree,
@@ -23,6 +25,7 @@ from torsionfields.oracle import (
     image_report,
     matrix_fingerprint,
     _catalog_fingerprints,
+    _mod,
 )
 from torsionfields.torsion import torsion_data
 
@@ -137,6 +140,44 @@ def test_fingerprint_matches_frobenius_matrix():
             assert fp == matrix_fingerprint(td.frobenius, m), (m, A, B, ell)
             checked += 1
     assert checked > 100
+
+
+def _factor_fingerprint(ell, A, B, m):
+    """The fingerprint from the irreducible factors themselves: each factor
+    of degree d is one abscissa orbit, two vector orbits of size d when the
+    curve cubic is a square on it, one of size 2d when not."""
+    dp = DivisionPolynomials(ell, _mod(A, ell), _mod(B, ell))
+    poly, has_two_part = dp.torsion_x_polynomial(m)
+    main, vec = [], []
+    if m != 2:
+        for g in factor_squarefree(poly, ell, random.Random(0)):
+            d = poly_deg(g)
+            main.append(d)
+            vec.extend((d, d) if is_square_mod(dp.curve_poly, g, ell) else (2 * d,))
+    cub = ()
+    if has_two_part:
+        cub = {3: (1, 1, 1), 1: (1, 2), 0: (3,)}[len(poly_roots(dp.curve_poly, ell))]
+    n = math.lcm(1, *vec, *cub)
+    return n, (n, tuple(sorted(main)), tuple(sorted(vec)), cub)
+
+
+def test_block_fingerprint_matches_factor_fingerprint():
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 600:
+        A = Fraction(rng.randint(-50, 50), rng.choice([1, 1, 2, 3]))
+        B = Fraction(rng.randint(-50, 50), rng.choice([1, 1, 2, 3]))
+        if discriminant(A, B) == 0:
+            continue
+        for m in (2, 3, 4, 5, 7):
+            for i, ell in enumerate(good_primes(A, B, m)):
+                if i == 42:
+                    break
+                if i % 7:
+                    continue
+                _, n, fp = frobenius_fingerprint(ell, A, B, m)
+                assert (n, fp[2:]) == _factor_fingerprint(ell, A, B, m), (A, B, m, ell)
+                checked += 1
 
 
 def test_catalog_fingerprints_cover_full_group():
