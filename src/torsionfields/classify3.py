@@ -358,7 +358,8 @@ def galois_group3(flags: dict, degree: int, quartic: str | None = None,
                 g = "Z4" if zeta3_in_base else "Z2xZ2"
         else:
             raise ClassificationDefect(f"degree {degree} out of table")
-    assert GROUP_ORDERS[g] == degree
+    if GROUP_ORDERS[g] != degree:
+        raise ClassificationDefect(f"group {g} does not have order {degree}")
     return g
 
 

@@ -167,29 +167,6 @@ def poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return poly_make_monic(a, p)
 
 
-def poly_eea_inverse(a: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a modulo monic irreducible g (extended Euclid)."""
-    r0, r1 = g.astype(np.int64), poly_trim(a % p)
-    t0 = np.zeros(1, dtype=np.int64)
-    t1 = np.ones(1, dtype=np.int64)
-    while poly_deg(r1) > 0:
-        m = poly_make_monic(r1, p)
-        scale = pow(int(r1[poly_deg(r1)]), p - 2, p)
-        q, r = poly_divmod(r0, m, p)
-        q = q * scale % p
-        r0, r1 = r1, r
-        prod = np.convolve(q, t1) % p
-        width = max(len(t0), len(prod))
-        nt = np.zeros(width, dtype=np.int64)
-        nt[: len(t0)] += t0
-        nt[: len(prod)] -= prod
-        t0, t1 = t1, poly_trim(nt % p)
-    if poly_deg(r1) < 0:
-        raise ZeroDivisionError("element not invertible")
-    t1 = t1 * pow(int(r1[0]), p - 2, p) % p
-    return poly_trim(t1)
-
-
 def poly_pow_mod(a: np.ndarray, e: int, g: np.ndarray, p: int) -> np.ndarray:
     return ModRing(g, p).pow(a, e)
 
@@ -517,7 +494,11 @@ class ExtField:
 
     Multiplication is the ``ModRing`` kernel; the p-power Frobenius is a
     precomputed n x n matrix so that subfield membership questions are single
-    mat-vec products.
+    mat-vec products.  Inversion is Itoh-Tsujii on the same matrices (at
+    most 2 log2 n products and as many mat-vecs).  g must be irreducible;
+    ``check_irreducible`` makes sure of it, and without it a reducible g
+    still never yields a wrong inverse: an element whose norm is not a
+    nonzero constant raises ZeroDivisionError.
     """
 
     def __init__(self, p: int, modulus: np.ndarray, check_irreducible: bool = False):
@@ -567,10 +548,24 @@ class ExtField:
     # -- arithmetic kernels -------------------------------------------------
 
     def _inv(self, a: np.ndarray) -> np.ndarray:
-        inv = poly_eea_inverse(poly_trim(a), self.modulus, self.p)
-        out = np.zeros(self.degree, dtype=np.int64)
-        out[: len(inv)] = inv
-        return out
+        """a^{-1} = a^{r-1} / N(a) with r = (p^n - 1)/(p - 1) (Itoh-Tsujii).
+
+        u_k = a^{1 + p + ... + p^{k-1}} follows the binary digits of n - 1:
+        u_{2k} = u_k Frob^k(u_k) and u_{k+1} = Frob(u_k) a.  Then a^{r-1} =
+        Frob(u_{n-1}) and N(a) = a^{r-1} a.  A nonzero constant N proves
+        a^{r-1} / N an inverse in any ring, so anything else raises.
+        """
+        p, mul, frob = self.p, self._ring.mul, self.frobenius_power_matrix
+        u, k = a, 1
+        for bit in bin(self.degree - 1)[3:]:
+            u, k = mul(u, frob(k) @ u % p), 2 * k
+            if bit == "1":
+                u, k = mul(frob(1) @ u % p, a), k + 1
+        b = frob(1) @ u % p
+        norm = mul(b, a)
+        if not norm[0] or norm[1:].any():
+            raise ZeroDivisionError("element not invertible")
+        return b * pow(int(norm[0]), p - 2, p) % p
 
     # -- Frobenius ----------------------------------------------------------
 

@@ -239,7 +239,8 @@ def _eigenvector(F, lam, m):
 def _completed_basis(v, m):
     """A second column making (v | w) invertible mod prime m."""
     w = (0, 1) if v[0] % m else (1, 0)
-    assert (v[0] * w[1] - v[1] * w[0]) % m
+    if (v[0] * w[1] - v[1] * w[0]) % m == 0:
+        raise ValueError(f"{v} is zero mod {m}")
     return (v[0], w[0], v[1], w[1])
 
 
@@ -266,7 +267,8 @@ def check_borel_cartan(td):
         # reducible: triangular in the eigenbasis
         lam = next(x for x in range(m) if (x * x - tr * x + q) % m == 0)
         tdb = rebase(td, _completed_basis(_eigenvector(F, lam, m), m))
-        assert mat_pow(tdb.frobenius, 1, m)[2] == 0
+        if tdb.frobenius[2] % m:
+            raise ArithmeticError("Frobenius is not triangular in its eigenbasis")
         kz = _k(tdb, [tdb.zeta, tdb.y2])
         deg["k_borel"] = kz
         idx = n // kz
@@ -325,7 +327,8 @@ def check_galgl(td):
     c2 = False
     if n % D == 0:  # a degree-D irreducible factor must divide x1's degree
         phi, _ = DivisionPolynomials(q, td.A, td.B).torsion_x_polynomial(m)
-        assert poly_deg(phi) == D
+        if poly_deg(phi) != D:
+            raise ArithmeticError(f"division polynomial of degree {poly_deg(phi)}, not {D}")
         c2 = poly_is_irreducible(phi, q) and gcd(D, kz) == 1
     k1 = _k(td, [td.zeta, td.x1])
     k2 = _k(td, [td.zeta, td.x1, td.y1])

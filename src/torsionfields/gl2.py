@@ -125,7 +125,8 @@ def gl2_order(m: int) -> int:
 
 def gl2_elements(m: int) -> list[tuple]:
     """Every invertible matrix mod m (use only for small m)."""
-    assert m <= 6, "full enumeration is meant for tiny m"
+    if m > 6:
+        raise ValueError("full enumeration is meant for tiny m")
     out = []
     for a in range(m):
         for b in range(m):
@@ -212,7 +213,8 @@ def projective_order_semisimple(tr: int, det: int, p: int) -> int:
     tr %= p
     det %= p
     disc = (tr * tr - 4 * det) % p
-    assert disc != 0, "ratio undefined for repeated eigenvalues"
+    if disc == 0:
+        raise ValueError("ratio undefined for repeated eigenvalues")
 
     def mul(u, v):
         # (u0 + u1 T)(v0 + v1 T) with T^2 = tr*T - det
@@ -249,7 +251,8 @@ def surjectivity_heuristic(samples, p: int) -> str:
 
     'Unknown' is returned otherwise; the test never rules the full group out.
     """
-    assert p >= 5
+    if p < 5:
+        raise ValueError(f"p = {p} is below 5")
     saw_nonsquare = saw_square = saw_big_order = False
     for tr, det in samples:
         tr %= p

@@ -639,7 +639,8 @@ def square_test_tower(x: TowerElement):
         st, a = sqrt_in(base, (x.u + ww) / 2)
         if st == SQUARE and a:
             root = T.elt(a, x.v / (a * 2))
-            assert root * root == x
+            if root * root != x:
+                raise ClassificationDefect("tower root does not square back")
             return SQUARE, root
     return NOT_SQUARE, None
 

@@ -58,100 +58,27 @@ class TorsionConstructionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Jacobian-coordinate scalar ladder (used for huge cofactor multiplications)
+# Weil pairing (Miller's algorithm in affine coordinates, one slope per step)
 # ---------------------------------------------------------------------------
 
-def _jac_double(F, A_coeff, P):
-    X1, Y1, Z1 = P
-    if not Y1:
-        return None
-    XX = X1 * X1
-    YY = Y1 * Y1
-    YYYY = YY * YY
-    ZZ = Z1 * Z1
-    S = (X1 + YY) * (X1 + YY) - XX - YYYY
-    S = S + S
-    M = XX + XX + XX + A_coeff * (ZZ * ZZ)
-    X3 = M * M - S - S
-    eight = F.from_int(8)
-    Y3 = M * (S - X3) - eight * YYYY
-    Z3 = (Y1 + Z1) * (Y1 + Z1) - YY - ZZ
-    return (X3, Y3, Z3)
+def _chord(E: EllipticCurve, R, S, T):
+    """R + S and the value at T of the line through R and S (tangent if R == S).
 
-
-def _jac_add_affine(F, A_coeff, P, Q_affine):
-    """Mixed addition of jacobian P and affine Q."""
-    if P is None:
-        x2, y2 = Q_affine
-        return (x2, y2, F.one())
-    X1, Y1, Z1 = P
-    x2, y2 = Q_affine
-    Z1Z1 = Z1 * Z1
-    U2 = x2 * Z1Z1
-    S2 = y2 * Z1 * Z1Z1
-    H = U2 - X1
-    r = S2 - Y1
-    r = r + r
-    if not H:
-        if not r:
-            return _jac_double(F, A_coeff, P)
-        return None
-    HH = H * H
-    I = HH + HH + HH + HH
-    J = H * I
-    V = X1 * I
-    X3 = r * r - J - V - V
-    YJ = Y1 * J
-    Y3 = r * (V - X3) - YJ - YJ
-    Z3 = (Z1 + H) * (Z1 + H) - Z1Z1 - HH
-    return (X3, Y3, Z3)
-
-
-def _jac_mul(E: EllipticCurve, P, k: int):
-    """k*P for affine P, returning affine, via jacobian double-and-add."""
-    if k == 0 or P is None:
-        return None
-    F = E.field
-    A_coeff = E.A
-    R = None
-    for bit in bin(k)[2:]:
-        if R is not None:
-            R = _jac_double(F, A_coeff, R)
-        if bit == "1":
-            R = _jac_add_affine(F, A_coeff, R, P)
-    if R is None:
-        return None
-    X, Y, Z = R
-    if not Z:
-        return None
-    zi = Z.inverse()
-    zi2 = zi * zi
-    return (X * zi2, Y * zi2 * zi)
-
-
-# ---------------------------------------------------------------------------
-# Weil pairing (Miller's algorithm, numerator/denominator split)
-# ---------------------------------------------------------------------------
-
-def _line_value(E: EllipticCurve, R, S, T):
-    """Value at T of the line through R and S (tangent if R == S)."""
-    F = E.field
-    if R is None and S is None:
-        return F.one()
-    if R is None:
-        return T[0] - S[0]
-    if S is None:
-        return T[0] - R[0]
+    One slope, so one division, serves both.
+    """
+    if R is None or S is None:
+        Q = S if R is None else R
+        return Q, (E.field.one() if Q is None else T[0] - Q[0])
     x1, y1 = R
     x2, y2 = S
     if x1 == x2:
         if y1 == -y2:
-            return T[0] - x1
-        num = (x1 * x1 + x1 * x1 + x1 * x1) + E.A
-        lam = num / (y1 + y1)
+            return None, T[0] - x1
+        lam = ((x1 * x1 + x1 * x1 + x1 * x1) + E.A) / (y1 + y1)
     else:
         lam = (y2 - y1) / (x2 - x1)
-    return (T[1] - y1) - lam * (T[0] - x1)
+    x3 = lam * lam - x1 - x2
+    return (x3, lam * (x1 - x3) - y1), (T[1] - y1) - lam * (T[0] - x1)
 
 
 def _vertical_value(E, R, T):
@@ -165,15 +92,13 @@ def _miller(E: EllipticCurve, P, m: int, T):
     num = den = E.field.one()
     R = P
     for bit in bin(m)[3:]:
-        twoR = E.add(R, R)
-        num = num * num * _line_value(E, R, R, T)
-        den = den * den * _vertical_value(E, twoR, T)
-        R = twoR
+        R, line = _chord(E, R, R, T)
+        num = num * num * line
+        den = den * den * _vertical_value(E, R, T)
         if bit == "1":
-            RP = E.add(R, P)
-            num = num * _line_value(E, R, P, T)
-            den = den * _vertical_value(E, RP, T)
-            R = RP
+            R, line = _chord(E, R, P, T)
+            num = num * line
+            den = den * _vertical_value(E, R, T)
     if R is not None:
         raise TorsionConstructionError("point order does not divide the pairing level")
     return num, den
@@ -398,7 +323,7 @@ def _torsion_points(E: EllipticCurve, q, A, B, m, n, rng):
             continue
         if rng.randrange(2):
             y = -y
-        R = _jac_mul(E, (x, y), M)
+        R = E.mul((x, y), M)
         P = None
         for ell, k, v in parts:
             chain = _ell_chain(E, E.mul(R, (N // M) // ell ** v), ell)

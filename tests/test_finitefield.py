@@ -43,7 +43,7 @@ from torsionfields.finitefield import (
     sqrt_int,
     ts_sqrt,
 )
-from torsionfields.torsion import MAX_Q
+from torsionfields.torsion import MAX_Q, torsion_data
 
 _X = np.array([0, 1], dtype=np.int64)
 
@@ -374,6 +374,71 @@ def test_modring_frobenius_matrix_columns_are_pth_powers():
             for j in range(n):
                 xj = _arr([0] * j + [1])
                 assert Q[:, j].tolist() == _padded(ring.pow(xj, p).tolist(), n), (p, n, j)
+
+
+# ---------------------------------------------------------------------------
+# ExtField inverses (Itoh-Tsujii) against Fermat powers on Python ints
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _field_case(draw):
+    p = draw(st.one_of(st.sampled_from([5, 7, 13]), _PRIMES))
+    n = draw(st.integers(2, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while True:
+        g = [rng.randrange(p) for _ in range(n)] + [1]
+        if poly_is_irreducible(_arr(g), p):
+            break
+    a = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    assume(any(a))
+    return p, g, a
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_case())
+@example((5, [2, 0, 1], [0, 1]))
+@example((_TOP_PRIME, [1, 0, 1], [_TOP_PRIME - 1, _TOP_PRIME - 1]))  # p = 3 mod 4
+def test_ext_field_inverse_is_the_fermat_power(case):
+    p, g, a = case
+    n = len(g) - 1
+    inv = ExtField(p, _arr(g)).elt(a).inverse().c.tolist()
+    assert _ref_divmod(_ref_mul(a, inv, p), g, p)[1] == [1]
+    assert _ref_trim(inv) == _ref_powmod(a, p ** n - 2, g, p)
+
+
+def test_inverses_in_a_torsion_field_of_degree_110():
+    # E[11] of y^2 = x^3 + 2x + 14 over F_37 lives in a QuadExt over F_{37^55}
+    F = torsion_data(37, 2, 14, 11).field
+    base = F.base
+    assert isinstance(base, ExtField) and base.degree == 55
+    rng = random.Random(11)
+    for _ in range(3):
+        a = base.nth_element(rng.randrange(base.order()))
+        assert a * a.inverse() == base.one()
+        assert a.inverse() == pow_elt(a, base.order() - 2)
+    x = F.nth_element(rng.randrange(F.order()))
+    assert x * x.inverse() == F.one()
+    assert x.inverse() == pow_elt(x, F.order() - 2)
+    for zero in (base.zero(), F.zero()):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+
+
+def test_inverse_modulo_a_reducible_polynomial_is_never_wrong():
+    # (x + 1)(x^2 + 2) over F_5: a unit may invert, a zero divisor must raise
+    p, g = 5, poly_mul(_arr([1, 1]), _arr([2, 0, 1]), 5)
+    R = ExtField(p, g)
+    zero_divisors = 0
+    for i in range(1, p ** 3):
+        a = R.nth_element(i)
+        unit = poly_deg(poly_gcd(a.c, g, p)) == 0
+        zero_divisors += not unit
+        try:
+            b = a.inverse()
+        except ZeroDivisionError:
+            continue
+        assert unit and a * b == R.one()
+    assert zero_divisors == 4 + 24  # nonzero multiples of x^2 + 2 and of x + 1
 
 
 # ---------------------------------------------------------------------------

@@ -211,3 +211,12 @@ def test_subgroup_catalog_mod4():
     assert sizes[0] == 2
     assert sizes[-1] == 96
     assert 32 in sizes  # index-3 subgroups exist at level 4
+
+
+def test_input_checks_raise_value_error():
+    with pytest.raises(ValueError):
+        gl2_elements(7)
+    with pytest.raises(ValueError):
+        projective_order_semisimple(2, 1, 5)  # (T - 1)^2: one eigenvalue
+    with pytest.raises(ValueError):
+        surjectivity_heuristic([(1, 1)], 3)

@@ -1,12 +1,17 @@
 """Exact number-field layer: square/cube tests, cubic fields, towers."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torsionfields
 from torsionfields.numberfield import (
     NOT_SQUARE,
     SQUARE,
@@ -270,6 +275,30 @@ def test_tower_v_zero_branch_through_radicand():
     status, root = square_test_tower(theta)
     assert status == SQUARE
     assert root * root == theta
+
+
+def test_tower_root_check_survives_python_optimize():
+    # under python -O every bare assert is gone; the root check is not: a
+    # base square root that is off by one must not come back as a root
+    script = textwrap.dedent("""
+        from torsionfields import numberfield as nf
+        assert False, "asserts must be off under -O"
+        exact = nf.sqrt_in
+        def off_by_one(field, x):
+            status, r = exact(field, x)
+            return status, (r + 1 if status == nf.SQUARE and x == 1 else r)
+        nf.sqrt_in = off_by_one
+        T = nf.QuadTower(None, 2)
+        try:
+            nf.square_test_tower(T.elt(9, 4))  # (1 + 2 sqrt 2)^2, a = 1
+        except nf.ClassificationDefect as exc:
+            print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(torsionfields.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", script], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["tower root does not square back"]
 
 
 def test_tower_over_cubic_field():

@@ -8,15 +8,13 @@ import textwrap
 import pytest
 
 import torsionfields
-from torsionfields.curve import EllipticCurve
-from torsionfields.finitefield import PrimeField, is_prime, pow_elt
+from torsionfields.finitefield import is_prime, pow_elt
 from torsionfields.gl2 import factor_int
 from torsionfields.torsion import (
     MAX_Q,
     TorsionConstructionError,
     _construct_via_division_poly,
     _group_order_over_ext,
-    _jac_mul,
     _torsion_points,
     torsion_data,
     weil_pairing,
@@ -318,18 +316,6 @@ def test_construction_is_deterministic():
     assert a.x1.encode() == b.x1.encode()
     assert a.y2.encode() == b.y2.encode()
     assert a.zeta.encode() == b.zeta.encode()
-
-
-def test_jacobian_ladder_matches_affine():
-    F = PrimeField(101)
-    E = EllipticCurve(F, F.from_int(3), F.from_int(8))
-    P = next(
-        (F.from_int(x), F.sqrt(E.f(F.from_int(x))))
-        for x in range(101)
-        if E.f(F.from_int(x)) and F.sqrt(E.f(F.from_int(x))) is not None
-    )
-    for k in (1, 2, 3, 7, 19, 55, 101, 500, 12345):
-        assert _same(_jac_mul(E, P, k), E.mul(P, k))
 
 
 def test_x_of_double_consistent_with_table():
