@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
+from .curve import discriminant
 from .numberfield import (  # noqa: F401  (ClassificationDefect is re-exported)
     RESIDUAL_BOUND,
     SQUARE,
@@ -71,10 +72,10 @@ def _principal(field, value, root):
 class RadicalData3:
     """Numeric values of the radical skeleton, plus the branch bookkeeping.
 
-    `disc` is Delta = -432 B^2 - 64 A^3 (an exact rational; it equals the
-    curve discriminant -16(4A^3+27B^2)).  The remaining fields are mpmath
-    numbers at the working precision: c/delta/delta_prime on the B != 0
-    branch, beta0/eta0 on the B = 0 branch.
+    `disc` is the curve discriminant Delta = -16(4A^3 + 27B^2), an exact
+    rational.  The remaining fields are mpmath numbers at the working
+    precision: c/delta/delta_prime on the B != 0 branch, beta0/eta0 on the
+    B = 0 branch.
     """
 
     disc: Fraction
@@ -97,7 +98,7 @@ def radical_roots3(A, B, precision: int = 256):
     ClassificationDefect: it would mean the formulas are transcribed wrong).
     """
     A, B = Fraction(A), Fraction(B)
-    disc = -432 * B * B - 64 * A ** 3
+    disc = discriminant(A, B)
     if disc == 0:
         raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
     with mpmath.workprec(precision):
@@ -172,7 +173,7 @@ def _quartic_shape(r: Fraction, theta: TowerElement) -> str:
 
 
 def _tower_bnz(A: Fraction, B: Fraction) -> _Tower3:
-    disc = -432 * B * B - 64 * A ** 3
+    disc = discriminant(A, B)
     cr = rational_cbrt(disc)
     f_cbrt = cr is None
     if f_cbrt:
@@ -286,17 +287,19 @@ def _tower_b0(A: Fraction) -> _Tower3:
     return _Tower3(flags, None, False)
 
 
+def _tower(A: Fraction, B: Fraction) -> _Tower3:
+    if discriminant(A, B) == 0:
+        raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
+    return _tower_b0(A) if B == 0 else _tower_bnz(A, B)
+
+
 def conditions3(A, B):
     """Decide which tower steps genuinely extend the field.
 
     Returns (flags, confidence); every square test is exact, so the
     confidence is always "exact".
     """
-    A, B = Fraction(A), Fraction(B)
-    if -432 * B * B - 64 * A ** 3 == 0:
-        raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
-    tw = _tower_b0(A) if B == 0 else _tower_bnz(A, B)
-    return tw.flags, "exact"
+    return _tower(Fraction(A), Fraction(B)).flags, "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +411,14 @@ def classify3(A, B) -> Classification3Report:
     """Full classification of the order-3 coordinate field of
     y^2 = x^3 + A x + B over Q."""
     A, B = Fraction(A), Fraction(B)
-    disc = -432 * B * B - 64 * A ** 3
-    if disc == 0:
-        raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
-    tw = _tower_b0(A) if B == 0 else _tower_bnz(A, B)
+    tw = _tower(A, B)
     d = degree3(tw.flags)
     if d == 8 and tw.degenerate:
         # a degenerate ordinate would force three independent square roots,
         # an elementary-abelian shape GL2(Z/3) does not contain
         raise ClassificationDefect("degenerate tower with degree 8")
     group = galois_group3(tw.flags, d, quartic=tw.quartic)
-    return Classification3Report(A=A, B=B, delta=disc,
+    return Classification3Report(A=A, B=B, delta=discriminant(A, B),
                                  branch="B0" if B == 0 else "Bnz",
                                  flags=tw.flags, degree=d, group=group,
                                  confidence="exact")

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
+from .curve import discriminant
 from .numberfield import (
     RESIDUAL_BOUND,
     SQUARE,
@@ -75,9 +76,9 @@ class TwoTorsionSplit:
 def two_torsion_split(A, B) -> TwoTorsionSplit:
     """Exact splitting field of x^3 + A x + B with labelled roots."""
     A, B = Fraction(A), Fraction(B)
-    if 4 * A ** 3 + 27 * B ** 2 == 0:
+    disc = discriminant(A, B) / 16      # of the cubic
+    if disc == 0:
         raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
-    disc = -4 * A ** 3 - 27 * B ** 2
     rr = rational_roots([B, A, 0, 1])
 
     if rr:
@@ -241,7 +242,7 @@ def d96_criterion(A, B) -> bool:
     """Sufficient test for [K4:Q] = 96: cubic irreducible, curve
     discriminant positive and not a rational square."""
     A, B = Fraction(A), Fraction(B)
-    disc_curve = -16 * (27 * B * B + 4 * A ** 3)
+    disc_curve = discriminant(A, B)
     if disc_curve <= 0 or is_rational_square(disc_curve):
         return False
     return not rational_roots([B, A, 0, 1])

@@ -51,6 +51,12 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _m_list(text: str) -> list[int]:
     try:
         ms = [int(tok) for tok in text.split(",") if tok]
@@ -186,7 +192,7 @@ def build_parser() -> _Parser:
     pv.add_argument("--theorem", required=True,
                     choices=sorted(CHECKS) + ["all"], metavar="ID",
                     help=f"one of {', '.join(sorted(CHECKS))}, or all")
-    pv.add_argument("--trials", type=int, required=True)
+    pv.add_argument("--trials", type=_positive_int, required=True)
     pv.add_argument("--seed", type=int, required=True)
     pv.add_argument("--m-list", type=_m_list, default=None, dest="m_list")
     pv.set_defaults(func=_cmd_verify)

@@ -4,6 +4,8 @@ Group law and the x-coordinate duplication map are written against the duck
 typed element protocol (+, -, *, /, ==), so the same code serves prime fields,
 extensions, quadratic lifts, and exact rationals.  Points are (x, y) tuples,
 with None for the point at infinity — nothing projective is needed here.
+``EllipticCurve.chord`` is the one chord-and-tangent step: it returns the sum
+and the slope of its line, which ``add`` drops and the Miller loop evaluates.
 
 Division polynomials live in their classical y-stripped form over F_p: for odd
 index the polynomial is in x alone, for even index the stored polynomial is
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .finitefield import poly_make_monic
+from .finitefield import poly_make_monic, poly_mul, poly_sub, poly_trim
 
 
 class SingularCurveError(ValueError):
@@ -56,24 +58,27 @@ class EllipticCurve:
             return None
         return (P[0], -P[1])
 
-    def add(self, P, Q):
+    def chord(self, P, Q):
+        """(P + Q, slope of the line through P and Q, the tangent if P == Q).
+
+        The slope is None when the line is vertical or a point is O."""
         if P is None:
-            return Q
+            return Q, None
         if Q is None:
-            return P
+            return P, None
         x1, y1 = P
         x2, y2 = Q
         if x1 == x2:
             if y1 == -y2:
-                return None
-            # tangent
-            num = (x1 * x1 + x1 * x1 + x1 * x1) + self.A
-            lam = num / (y1 + y1)
+                return None, None
+            lam = ((x1 * x1 + x1 * x1 + x1 * x1) + self.A) / (y1 + y1)
         else:
             lam = (y2 - y1) / (x2 - x1)
         x3 = lam * lam - x1 - x2
-        y3 = lam * (x1 - x3) - y1
-        return (x3, y3)
+        return (x3, lam * (x1 - x3) - y1), lam
+
+    def add(self, P, Q):
+        return self.chord(P, Q)[0]
 
     def double(self, P):
         return self.add(P, P)
@@ -175,7 +180,7 @@ class DivisionPolynomials:
         self.B = B % p
         f = np.array([self.B, self.A, 0, 1], dtype=np.int64)
         self.curve_poly = f
-        self.f_sq = np.convolve(f, f) % p
+        self.f_sq = poly_mul(f, f, p)
         A2 = self.A * self.A % p
         psi3 = np.array([(-A2) % p, 12 * self.B % p, 6 * self.A % p, 0, 3], dtype=np.int64)
         psi4 = (4 * np.array(
@@ -203,33 +208,20 @@ class DivisionPolynomials:
         if m in self._cache:
             return self._cache[m]
         p = self.p
+        k = m // 2
         if m % 2 == 1:
-            k = (m - 1) // 2
-            t1 = np.convolve(self[k + 2], np.convolve(self[k], np.convolve(self[k], self[k]) % p) % p) % p
-            t2 = np.convolve(self[k - 1], np.convolve(self[k + 1], np.convolve(self[k + 1], self[k + 1]) % p) % p) % p
+            t1 = poly_mul(self[k + 2], poly_mul(self[k], poly_mul(self[k], self[k], p), p), p)
+            t2 = poly_mul(self[k - 1], poly_mul(self[k + 1], poly_mul(self[k + 1], self[k + 1], p), p), p)
             if k % 2 == 0:
-                t1 = np.convolve(t1, self.f_sq) % p
+                t1 = poly_mul(t1, self.f_sq, p)
             else:
-                t2 = np.convolve(t2, self.f_sq) % p
-            width = max(len(t1), len(t2))
-            out = np.zeros(width, dtype=np.int64)
-            out[: len(t1)] += t1
-            out[: len(t2)] -= t2
-            out %= p
+                t2 = poly_mul(t2, self.f_sq, p)
+            out = poly_sub(t1, t2, p)
         else:
-            k = m // 2
-            a = np.convolve(self[k + 2], np.convolve(self[k - 1], self[k - 1]) % p) % p
-            b = np.convolve(self[k - 2], np.convolve(self[k + 1], self[k + 1]) % p) % p
-            width = max(len(a), len(b))
-            diff = np.zeros(width, dtype=np.int64)
-            diff[: len(a)] += a
-            diff[: len(b)] -= b
-            diff %= p
-            out = np.convolve(self[k], diff) % p
-            out = out * pow(2, p - 2, p) % p
-        # trim
-        nz = np.nonzero(out)[0]
-        out = out[: nz[-1] + 1] if len(nz) else np.array([0], dtype=np.int64)
+            a = poly_mul(self[k + 2], poly_mul(self[k - 1], self[k - 1], p), p)
+            b = poly_mul(self[k - 2], poly_mul(self[k + 1], self[k + 1], p), p)
+            out = poly_mul(self[k], poly_sub(a, b, p), p) * pow(2, p - 2, p) % p
+        out = poly_trim(out)
         self._cache[m] = out
         return out
 

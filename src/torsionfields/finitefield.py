@@ -70,39 +70,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [int(q) for q in np.nonzero(sieve)[0] if q >= lo]
 
 
-def sqrt_int(a: int, p: int) -> int | None:
-    """Square root mod prime p (Tonelli-Shanks); None for nonresidues.
-
-    Returns the canonical representative min(r, p - r).
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # general case
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return min(r, p - r)
-
-
 # ---------------------------------------------------------------------------
 # dense polynomials over F_p
 # ---------------------------------------------------------------------------
@@ -125,6 +92,13 @@ _X = np.array([0, 1], dtype=np.int64)
 
 def poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.convolve(a, b) % p
+
+
+def poly_sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    out = np.zeros(max(len(a), len(b)), dtype=np.int64)
+    out[: len(a)] += a
+    out[: len(b)] -= b
+    return out % p
 
 
 def poly_make_monic(a: np.ndarray, p: int) -> np.ndarray:
@@ -284,13 +258,6 @@ def find_irreducible(p: int, k: int) -> np.ndarray:
 # squarefree factorization over F_p (distinct degree + Cantor-Zassenhaus)
 # ---------------------------------------------------------------------------
 
-def _poly_sub_x(h: np.ndarray) -> np.ndarray:
-    d = np.zeros(max(len(h), 2), dtype=np.int64)
-    d[: len(h)] += h
-    d[1] -= 1
-    return d
-
-
 def distinct_degree_blocks(g: np.ndarray, p: int, t: np.ndarray | None = None):
     """Distinct-degree blocks (d, P_d, squares) of g over F_p, d increasing.
 
@@ -323,7 +290,7 @@ def distinct_degree_blocks(g: np.ndarray, p: int, t: np.ndarray | None = None):
             d, part = poly_deg(rest), rest
         else:
             h = frob @ h % p
-            part = poly_gcd(_poly_sub_x(h) % p, rest, p)
+            part = poly_gcd(poly_sub(h, _X, p), rest, p)
             if poly_deg(part) <= 0:
                 continue
         squares = None
@@ -364,16 +331,13 @@ def _equal_degree_split(part: np.ndarray, d: int, p: int, rng: random.Random) ->
         if poly_deg(r) < 1:
             continue
         cand = poly_gcd(r, part, p)
+        if not 0 < poly_deg(cand) < n:
+            s = poly_pow_mod(r, e, part, p).copy()
+            s[0] = (s[0] - 1) % p
+            cand = poly_gcd(s, part, p)
         if 0 < poly_deg(cand) < n:
-            left, right = cand, poly_make_monic(poly_divmod(part, cand, p)[0], p)
-            return _equal_degree_split(left, d, p, rng) + _equal_degree_split(right, d, p, rng)
-        s = poly_pow_mod(r, e, part, p)
-        s = s.copy()
-        s[0] = (s[0] - 1) % p
-        cand = poly_gcd(s, part, p)
-        if 0 < poly_deg(cand) < n:
-            left, right = cand, poly_make_monic(poly_divmod(part, cand, p)[0], p)
-            return _equal_degree_split(left, d, p, rng) + _equal_degree_split(right, d, p, rng)
+            right = poly_make_monic(poly_divmod(part, cand, p)[0], p)
+            return _equal_degree_split(cand, d, p, rng) + _equal_degree_split(right, d, p, rng)
 
 
 def poly_roots(g: np.ndarray, p: int) -> list[int]:
@@ -384,7 +348,7 @@ def poly_roots(g: np.ndarray, p: int) -> list[int]:
     """
     g = poly_make_monic(g, p)
     xp = poly_pow_mod(_X, p, g, p)
-    lin = poly_gcd(_poly_sub_x(xp) % p, g, p)
+    lin = poly_gcd(poly_sub(xp, _X, p), g, p)
     if poly_deg(lin) <= 0:
         return []
     return sorted((-int(f[0])) % p for f in _equal_degree_split(lin, 1, p, random.Random(0)))
@@ -423,8 +387,7 @@ class PrimeField:
         return self.elt(1)
 
     def sqrt(self, a: "PrimeFieldElement"):
-        r = sqrt_int(a.v, self.p)
-        return None if r is None else self.elt(r)
+        return ts_sqrt(self, a)
 
     def frobenius_power(self, a, k: int):
         return a
@@ -745,12 +708,12 @@ class QuadExt:
         if not b:
             r = base.sqrt(a)
             if r is not None:
-                return self._canonical(self.elt(r, base.zero()))
+                return _canonical_root(self.elt(r, base.zero()))
             # a nonsquare in the base differs from t by a square factor
             r = base.sqrt(a / self.t)
             if r is None:
                 raise ArithmeticError("the adjoined element is a square in the base")
-            return self._canonical(self.elt(base.zero(), r))
+            return _canonical_root(self.elt(base.zero(), r))
         w = base.sqrt(a * a - b * b * self.t)
         if w is None:
             return None
@@ -762,12 +725,8 @@ class QuadExt:
                 u = b * half / s
                 root = self.elt(s, u)
                 if root * root == x:
-                    return self._canonical(root)
+                    return _canonical_root(root)
         return None
-
-    def _canonical(self, r: "QuadExtElement"):
-        neg = -r
-        return r if r.encode() <= neg.encode() else neg
 
     def __eq__(self, other):
         return isinstance(other, QuadExt) and other.base == self.base and other.t == self.t
@@ -852,16 +811,18 @@ def is_square_elt(x) -> bool:
 
 
 def ts_sqrt(field, a):
-    """Tonelli-Shanks in an arbitrary finite field object; None if nonsquare.
+    """Tonelli-Shanks in any finite field object (F_p, F_{p^n}, a quadratic
+    lift); None if a is not a square.
 
-    The returned root is canonical: the one whose encode() tuple is smaller.
+    The returned root is canonical: the one whose encode() tuple is smaller,
+    which over F_p is the smaller of r and p - r.
     """
     if not a:
         return field.zero()
+    if not is_square_elt(a):
+        return None
     q = field.order()
     one = field.one()
-    if pow_elt(a, (q - 1) // 2) != one:
-        return None
     if q % 4 == 3:
         r = pow_elt(a, (q + 1) // 4)
     else:
@@ -876,7 +837,7 @@ def ts_sqrt(field, a):
             i = field.p if q != field.p else 2
             while True:
                 cand = field.nth_element(i)
-                if cand and pow_elt(cand, (q - 1) // 2) != one:
+                if cand and not is_square_elt(cand):
                     z = cand
                     break
                 i += 1
@@ -892,5 +853,10 @@ def ts_sqrt(field, a):
             t, r = t * c, r * b
     if r * r != a:
         raise ArithmeticError("Tonelli-Shanks root does not square back")
+    return _canonical_root(r)
+
+
+def _canonical_root(r):
+    """Whichever of r and -r has the smaller encode() tuple."""
     neg = -r
     return r if r.encode() <= neg.encode() else neg

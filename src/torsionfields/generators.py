@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .curve import DivisionPolynomials
+from .curve import DivisionPolynomials, discriminant
 from .finitefield import (
     is_prime,
     poly_deg,
@@ -374,20 +374,20 @@ def run_check(name: str, td: TorsionData) -> TheoremReport:
 # instance generation and the suite driver
 # ---------------------------------------------------------------------------
 
-def generate_instances(m: int, count: int, seed, q_range=SUITE_Q_RANGE):
+def generate_instances(m: int, count: int, seed):
     """Yield `count` deterministic random TorsionData instances at level m.
 
     Singular (q, A, B) draws are silently redrawn.  Construction is total
     on valid inputs, so a TorsionConstructionError is a defect and propagates.
     """
     rng = random.Random(f"suite-{seed}-m{m}")
-    primes = [q for q in primes_in_range(*q_range) if m % q != 0]
+    primes = [q for q in primes_in_range(*SUITE_Q_RANGE) if m % q != 0]
     made = 0
     while made < count:
         q = rng.choice(primes)
         A = rng.randrange(q)
         B = rng.randrange(q)
-        if (4 * A * A * A + 27 * B * B) % q == 0:
+        if discriminant(A, B) % q == 0:
             continue
         made += 1
         yield torsion_data(q, A, B, m)

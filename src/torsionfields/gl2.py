@@ -10,32 +10,13 @@ against.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 # ---------------------------------------------------------------------------
 # integer helpers
 # ---------------------------------------------------------------------------
-
-def egcd(a: int, b: int):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    return old_r, old_s, old_t
-
-
-def inv_mod(a: int, n: int) -> int:
-    g, x, _ = egcd(a % n, n)
-    if g != 1:
-        raise ZeroDivisionError(f"{a} not invertible mod {n}")
-    return x % n
-
 
 def factor_int(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
@@ -206,10 +187,10 @@ def classify_cyclic_image(M, p: int) -> str:
     return "borel"
 
 
-def projective_order_semisimple(tr: int, det: int, p: int) -> int:
-    """Order in PGL_2(F_p) of a matrix with trace tr, determinant det and
-    nonzero discriminant: the multiplicative order of the eigenvalue ratio,
-    computed in F_p[T]/(T^2 - tr*T + det)."""
+def _ratio_powers(tr: int, det: int, p: int):
+    """r, r^2, r^3, ... for the ratio r of the eigenvalues of a matrix with
+    trace tr, determinant det and nonzero discriminant, computed in
+    F_p[T]/(T^2 - tr*T + det)."""
     tr %= p
     det %= p
     disc = (tr * tr - 4 * det) % p
@@ -225,14 +206,23 @@ def projective_order_semisimple(tr: int, det: int, p: int) -> int:
     # r = T / (tr - T); invert by multiplying with the conjugate
     # (tr - T) has conjugate T, and (tr - T)*T = det
     r = mul((0, 1), (0, 1))  # T^2
-    dinv = inv_mod(det, p)
+    dinv = pow(det, -1, p)
     r = (r[0] * dinv % p, r[1] * dinv % p)  # T^2/det = T/(tr-T)
     cur = r
-    for k in range(1, p + 2):
-        if cur == (1, 0):
-            return k
+    while True:
+        yield cur
         cur = mul(cur, r)
-    raise AssertionError("eigenvalue ratio order exceeded p+1")
+
+
+def projective_order_semisimple(tr: int, det: int, p: int) -> int:
+    """Order in PGL_2(F_p) of a matrix with trace tr, determinant det and
+    nonzero discriminant: the multiplicative order of the eigenvalue ratio,
+    which divides p - 1 or p + 1."""
+    for k, power in enumerate(_ratio_powers(tr, det, p), 1):
+        if power == (1, 0):
+            return k
+        if k == p + 1:
+            raise AssertionError("eigenvalue ratio order exceeded p+1")
 
 
 def surjectivity_heuristic(samples, p: int) -> str:
@@ -263,7 +253,7 @@ def surjectivity_heuristic(samples, p: int) -> str:
             saw_nonsquare = True
         if s == 1 and tr != 0:
             saw_square = True
-        if s != 0 and projective_order_semisimple(tr, det, p) > 5:
+        if s != 0 and (1, 0) not in islice(_ratio_powers(tr, det, p), 5):
             saw_big_order = True
         if saw_nonsquare and saw_square and saw_big_order:
             return "Full"
@@ -292,7 +282,7 @@ def subgroup_catalog(m: int) -> tuple:
     inv = np.empty(k, dtype=np.int16)
     for i, Mi in enumerate(G):
         d = mat_det(Mi, m)
-        di = inv_mod(d, m)
+        di = pow(d, -1, m)
         adj = (Mi[3] * di % m, -Mi[1] * di % m, -Mi[2] * di % m, Mi[0] * di % m)
         inv[i] = index[tuple(x % m for x in adj)]
     # conjugation permutations: conj[g][x] = g x g^-1

@@ -47,6 +47,8 @@ from itertools import combinations
 
 import mpmath
 
+from .curve import discriminant
+
 SQUARE = "square"
 NOT_SQUARE = "not_square"
 
@@ -217,7 +219,7 @@ class CubicField:
         """The three roots of t^3 + a t + b as mpmath complex numbers."""
         if self._roots is None:
             with mpmath.workprec(PRECISION_BITS):
-                roots = cubic_roots(self.a, self.b, extraprec=120)
+                roots = cubic_roots(self.a, self.b)
                 self._roots = [mpmath.mpc(r) for r in roots]
         return self._roots
 
@@ -257,7 +259,7 @@ def embed(field, x, gens=None):
     return embed(field.base, x.u, gens) + embed(field.base, x.v, gens) * g
 
 
-def cubic_roots(a, b, extraprec: int):
+def cubic_roots(a, b):
     """Roots of t^3 + a t + b (irreducible over Q) at the working precision,
     in closed form: the real roots first, ascending, as mpf, then any
     complex pair.
@@ -266,21 +268,22 @@ def cubic_roots(a, b, extraprec: int):
     one from Cardano's formula with the cube root taken on the side that
     avoids cancellation.  A nearly repeated root or a root much smaller than
     the coefficients loses at most a few bits per bit of their height, so
-    the work runs with extraprec plus four bits per bit of height to spare,
+    the work runs with 120 bits plus four bits per bit of height to spare,
     and is rounded at the end.
     """
     a, b = Fraction(a), Fraction(b)
     height = max(x.bit_length() for x in
                  (a.numerator, a.denominator, b.numerator, b.denominator))
-    with mpmath.extraprec(extraprec + 4 * height):
+    disc = discriminant(a, b)
+    with mpmath.extraprec(120 + 4 * height):
         am, bm = to_mpf(a), to_mpf(b)
-        if -4 * a ** 3 - 27 * b ** 2 > 0:
+        if disc > 0:
             r = 2 * mpmath.sqrt(-am / 3)
             phi = mpmath.acos(3 * bm / (am * r))
             roots = sorted(r * mpmath.cos((phi - 2 * k * mpmath.pi) / 3)
                            for k in range(3))
         else:
-            s = mpmath.sqrt(to_mpf(a ** 3 / 27 + b ** 2 / 4))
+            s = mpmath.sqrt(to_mpf(-disc / 1728))
             u = -mpmath.cbrt(bm / 2 + s) if b > 0 else mpmath.cbrt(s - bm / 2)
             v = -am / (3 * u)
             re, im = -(u + v) / 2, mpmath.sqrt(3) * (u - v) / 2

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import DivisionPolynomials, EllipticCurve, count_points_prime
+from .curve import DivisionPolynomials, EllipticCurve, count_points_prime, discriminant
 from .finitefield import (
     ExtField,
     PrimeField,
@@ -58,47 +58,35 @@ class TorsionConstructionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Weil pairing (Miller's algorithm in affine coordinates, one slope per step)
+# Weil pairing (Miller's algorithm on the chord-and-tangent step of the curve)
 # ---------------------------------------------------------------------------
 
-def _chord(E: EllipticCurve, R, S, T):
-    """R + S and the value at T of the line through R and S (tangent if R == S).
-
-    One slope, so one division, serves both.
-    """
-    if R is None or S is None:
-        Q = S if R is None else R
-        return Q, (E.field.one() if Q is None else T[0] - Q[0])
-    x1, y1 = R
-    x2, y2 = S
-    if x1 == x2:
-        if y1 == -y2:
-            return None, T[0] - x1
-        lam = ((x1 * x1 + x1 * x1 + x1 * x1) + E.A) / (y1 + y1)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    return (x3, lam * (x1 - x3) - y1), (T[1] - y1) - lam * (T[0] - x1)
-
-
-def _vertical_value(E, R, T):
-    if R is None:
-        return E.field.one()
-    return T[0] - R[0]
-
-
 def _miller(E: EllipticCurve, P, m: int, T):
-    """f_{m,P}(T) as a (num, den) pair, for the normalized Miller function."""
-    num = den = E.field.one()
+    """f_{m,P}(T) as a (num, den) pair, for the normalized Miller function.
+
+    Each step evaluates the line through R and S from the slope of
+    ``E.chord``, so one division serves it and R + S."""
+    one = E.field.one()
+
+    def step(R, S):
+        U, lam = E.chord(R, S)
+        vertical = one if U is None else T[0] - U[0]
+        if lam is not None:
+            return U, (T[1] - R[1]) - lam * (T[0] - R[0]), vertical
+        if R is None or S is None:      # the line through O and U is its vertical
+            return U, vertical, vertical
+        return U, T[0] - R[0], vertical
+
+    num = den = one
     R = P
     for bit in bin(m)[3:]:
-        R, line = _chord(E, R, R, T)
+        R, line, vertical = step(R, R)
         num = num * num * line
-        den = den * den * _vertical_value(E, R, T)
+        den = den * den * vertical
         if bit == "1":
-            R, line = _chord(E, R, P, T)
+            R, line, vertical = step(R, P)
             num = num * line
-            den = den * _vertical_value(E, R, T)
+            den = den * vertical
     if R is not None:
         raise TorsionConstructionError("point order does not divide the pairing level")
     return num, den
@@ -152,6 +140,13 @@ def _encode_point(P):
     return (P[0].encode(), P[1].encode())
 
 
+def _frobenius_point(F, P, k: int = 1):
+    """The image of P under the (q^k)-power Frobenius of F."""
+    if P is None:
+        return None
+    return (F.frobenius_power(P[0], k), F.frobenius_power(P[1], k))
+
+
 @dataclass
 class TorsionData:
     """E[m] over an explicit model of F_q(E[m])."""
@@ -177,10 +172,7 @@ class TorsionData:
         return self._decomp[_encode_point(P)]
 
     def frobenius_point(self, P, k: int = 1):
-        if P is None:
-            return None
-        F = self.field
-        return (F.frobenius_power(P[0], k), F.frobenius_power(P[1], k))
+        return _frobenius_point(self.field, P, k)
 
     def subfield_degree(self, gens) -> int:
         """[F_q(gens) : F_q]: least k | n with Frobenius^k fixing every gen."""
@@ -366,7 +358,7 @@ def _independent(E: EllipticCurve, P1, P2, m: int) -> bool:
 
 def _complete_basis(E: EllipticCurve, P1, q, A, B, m, n, rng):
     """Find P2 with (P1, P2) a basis of E[m]."""
-    cand = (E.field.frobenius_power(P1[0], 1), E.field.frobenius_power(P1[1], 1))
+    cand = _frobenius_point(E.field, P1)
     if _independent(E, P1, cand, m):
         return cand
     for cand in _torsion_points(E, q, A, B, m, n, rng):
@@ -403,53 +395,40 @@ def _build_table(E: EllipticCurve, P1, P2, m: int):
 
 
 def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2) -> TorsionData:
-    """Canonical basis, table, Frobenius matrix and pairing root."""
+    """Table, Frobenius matrix and pairing root, checked in the basis (P1, P2)
+    and rebased to the canonical one: the first point of order m in the
+    sorted table and the first point after it that completes a basis."""
     table = _build_table(E, P1, P2, m)
     enc = {key: _encode_point(pt) for key, pt in table.items()}
-    if len(set(enc.values())) != m * m:
+    decomp = {code: key for key, code in enc.items()}
+    if len(decomp) != m * m:
         raise TorsionConstructionError("generators were not independent")
 
-    # deterministic re-pick of the basis from the sorted point table
-    order_of = {key: m // math.gcd(math.gcd(key[0], key[1]), m) for key in table}
-    candidates = sorted((enc[key], key) for key in table if key != (0, 0))
-    first = next(key for _, key in candidates if order_of[key] == m)
-    i1, j1 = first
-    second = next(
-        key for _, key in candidates
-        if math.gcd(i1 * key[1] - key[0] * j1, m) == 1
-    )
-    i2, j2 = second
-    new_table = {
-        (a, b): table[((a * i1 + b * i2) % m, (a * j1 + b * j2) % m)]
-        for a in range(m) for b in range(m)
-    }
-    P1n = new_table[(1, 0)]
-    P2n = new_table[(0, 1)]
-    decomp = {_encode_point(pt): key for key, pt in new_table.items()}
-
     F = E.field
-    frob = {}
-    for tag, P in (("1", P1n), ("2", P2n)):
-        img = (F.frobenius_power(P[0], 1), F.frobenius_power(P[1], 1))
-        frob[tag] = decomp[_encode_point(img)]
-    a, c = frob["1"]
-    b, d = frob["2"]
+    (a, c), (b, d) = (decomp[_encode_point(_frobenius_point(F, P))] for P in (P1, P2))
     mat = (a, b, c, d)
     if (a * d - b * c - q) % m:
         raise TorsionConstructionError("pairing equivariance broken: det != q")
     if mat_order(mat, m) != n:
         raise TorsionConstructionError("frobenius order does not match field degree")
 
-    zeta = weil_pairing(E, P1n, P2n, m)
+    zeta = weil_pairing(E, P1, P2, m)
     if pow_elt(zeta, m) != F.one() or any(
         pow_elt(zeta, m // ell) == F.one() for ell in factor_int(m)
     ):
         raise TorsionConstructionError("pairing of a basis must be a primitive m-th root")
 
-    return TorsionData(
-        q=q, A=A, B=B, m=m, n=n, field=F, curve=E, P1=P1n, P2=P2n,
-        frobenius=mat, zeta=zeta, table=new_table, _decomp=decomp,
+    candidates = sorted((code, key) for key, code in enc.items() if key != (0, 0))
+    i1, j1 = next(key for _, key in candidates if math.gcd(*key, m) == 1)
+    i2, j2 = next(
+        key for _, key in candidates
+        if math.gcd(i1 * key[1] - key[0] * j1, m) == 1
     )
+    td = TorsionData(
+        q=q, A=A, B=B, m=m, n=n, field=F, curve=E, P1=P1, P2=P2,
+        frobenius=mat, zeta=zeta, table=table, _decomp=decomp,
+    )
+    return rebase(td, (i1, i2, j1, j2))
 
 
 def _construct_two_torsion(q, A, B, rng):
@@ -535,7 +514,7 @@ def torsion_data(q: int, A: int, B: int, m: int) -> TorsionData:
         raise TorsionConstructionError(f"q must be at most {MAX_Q}")
     if m % q == 0:
         raise TorsionConstructionError("q divides m")
-    if (4 * A ** 3 + 27 * B ** 2) % q == 0:
+    if discriminant(A, B) % q == 0:
         raise TorsionConstructionError("curve is singular mod q")
     rng = random.Random(f"torsion-{q}-{A}-{B}-{m}")
     if m == 2:

@@ -85,6 +85,14 @@ def test_image_output(capsys):
     assert json.loads(out)["verdict"] == "Full"
 
 
+def test_image_large_prime_exits_0(capsys):
+    code, out, _ = run_cli(
+        capsys, "image", "--a", "1", "--b", "1", "--p", "1000000007", "--samples", "2",
+    )
+    assert code == 0
+    assert json.loads(out)["used"] == 2
+
+
 def test_pairing_prime_field(capsys):
     code, out, _ = run_cli(
         capsys, "pairing", "--p", "7", "--k", "1", "--a", "1", "--b", "1", "--m", "3",
@@ -224,6 +232,8 @@ def test_pairing_refuses_prime_above_the_int64_bound(capsys):
         ("classify4", "--a", "0", "--b", "0"),
         ("oracle", "--a", "1", "--b", "1", "--m", "1", "--primes", "10", "--window", "5"),
         ("image", "--a", "1", "--b", "1", "--p", "6", "--samples", "10"),
+        ("verify", "--theorem", "zetam", "--trials", "0", "--seed", "0"),
+        ("verify", "--theorem", "zetam", "--trials", "-1", "--seed", "0"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):

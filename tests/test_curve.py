@@ -98,6 +98,18 @@ def test_chord_identity(i, j, k):
     pts = [P for P in enumerate_points(E) if P is not None]
     P = pts[i % len(pts)]
     Q = pts[j % len(pts)]
+    # the slope: -(P + Q) lies on the line through P (and Q) with that slope
+    S, lam = E.chord(P, Q)
+    if S is None:
+        assert lam is None and P[0] == Q[0]
+    else:
+        assert S == E.add(P, Q)
+        x3, y3 = S
+        assert -y3 - P[1] == lam * (x3 - P[0])
+        assert P == Q or Q[1] - P[1] == lam * (Q[0] - P[0])
+    assert E.chord(P, E.neg(P)) == (None, None)
+    assert E.chord(None, Q) == (Q, None)
+    assert E.chord(Q, None) == (Q, None)
     if P[0] == Q[0]:
         return
     S = E.add(P, Q)

@@ -40,7 +40,6 @@ from torsionfields.finitefield import (
     poly_roots,
     pow_elt,
     primes_in_range,
-    sqrt_int,
     ts_sqrt,
 )
 from torsionfields.torsion import MAX_Q, torsion_data
@@ -64,13 +63,30 @@ def test_primes_in_range_matches_enumeration():
 
 @pytest.mark.parametrize("p", [5, 13, 17, 97, 193])
 def test_sqrt_int_roundtrip(p):
+    # PrimeField.sqrt, checked against every square of F_p
+    F = PrimeField(p)
     for a in range(p):
-        r = sqrt_int(a, p)
+        r = F.sqrt(F.elt(a))
         if r is None:
             assert all(x * x % p != a for x in range(p))
         else:
-            assert r * r % p == a
-            assert r <= p - r  # canonical representative
+            assert r.v * r.v % p == a
+            assert r.v <= p - r.v  # canonical representative
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([65537, 331363919]), st.integers(0, 2**40))
+def test_prime_field_sqrt_large_primes(p, k):
+    # 65537 - 1 = 2^16 runs the whole Tonelli-Shanks loop; 331363919 is the
+    # largest q that torsion_data accepts
+    F = PrimeField(p)
+    a = k % p
+    r = F.sqrt(F.elt(a))
+    if r is None:
+        assert pow(a, (p - 1) // 2, p) == p - 1
+    else:
+        assert r.v * r.v % p == a
+        assert r.v <= p - r.v
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,12 @@ from torsionfields.gl2 import (
     I2,
     classify_cyclic_image,
     divisors,
-    egcd,
     eta_power,
     factor_int,
     gl2_brute_count,
     gl2_elements,
     gl2_order,
     h42_kernel,
-    inv_mod,
     legendre,
     lift_gl2f2,
     mat_det,
@@ -31,11 +29,6 @@ from torsionfields.gl2 import (
 
 
 def test_integer_helpers():
-    for a, b in [(12, 18), (35, 64), (0, 7), (101, 13)]:
-        g, x, y = egcd(a, b)
-        assert g == gcd(a, b)
-        assert a * x + b * y == g
-    assert inv_mod(3, 7) == 5
     assert factor_int(360) == {2: 3, 3: 2, 5: 1}
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert legendre(2, 7) == 1 and legendre(3, 7) == -1 and legendre(14, 7) == 0

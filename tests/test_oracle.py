@@ -8,6 +8,7 @@ values below were frozen from hand-checked classifications.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,21 @@ def test_image_report_generic_curve_full():
 def test_image_report_cm_curve_undecided():
     rep = image_report(Fraction(0), Fraction(-1), 7, samples=60)
     assert rep.verdict == "Undecided"
+
+
+@pytest.mark.parametrize("p, verdict", [
+    (10**6 + 3, "Full"),
+    (10**7 + 19, "Undecided"),
+    (10**8 + 7, "Full"),
+])
+def test_image_report_large_p_verdicts(p, verdict):
+    # the projective-order witness needs only the first five powers of the
+    # eigenvalue ratio, so the cost does not grow with p
+    t0 = time.process_time()
+    rep = image_report(Fraction(1), Fraction(1), p, samples=2)
+    assert rep.verdict == verdict
+    assert rep.used == 2
+    assert time.process_time() - t0 < 5.0
 
 
 def test_image_report_zero_samples_undecided():
