@@ -1,12 +1,16 @@
 """Finite field arithmetic: F_p, dense extensions F_{p^n}, quadratic liftings.
 
-Polynomials are numpy int64 coefficient vectors (lowest degree first, reduced
-mod p).  All products modulo a polynomial go through one kernel, ``ModRing``:
-a convolution, a ``% p``, and a contraction of the high half against the
-precomputed rows x^{n+i} mod g.  Every dot product it forms has at most n
-terms below p, so it stays exact while n (p - 1)^2 < 2^63; ``ModRing``
-refuses larger moduli, and ``torsion.torsion_data`` refuses q above the bound
-for n = 84, the degree of its largest modulus (q <= 331363921).
+Polynomials cross every interface as numpy int64 coefficient vectors (lowest
+degree first, reduced mod p).  All products modulo a polynomial go through one
+kernel, ``ModRing``, on int64: a convolution, a ``% p``, and a contraction of
+the high half against the precomputed rows x^{n+i} mod g.  Every dot product
+it forms has at most n terms below p, so it stays exact while
+n (p - 1)^2 < 2^63; ``ModRing`` refuses larger moduli, and
+``torsion.torsion_data`` refuses q above the bound for n = 84, the degree of
+its largest modulus (q <= 331363921).  The Euclid layer (``poly_divmod``,
+``poly_mod``, ``poly_gcd``) runs on Python-int lists inside the same interface,
+converting once each way: it takes one leading coefficient at a time, where
+numpy's cost per call outweighs its arithmetic, and needs no overflow bound.
 
 The three field classes (PrimeField, ExtField, QuadExt) expose one duck-typed
 protocol used by the curve/torsion layers:
@@ -114,17 +118,8 @@ def poly_divmod(a: np.ndarray, g: np.ndarray, p: int):
     n = poly_deg(g)
     if n < 0 or int(g[n]) != 1:
         raise ValueError("divisor must be monic")
-    a = poly_trim(a % p)
-    if len(a) <= n:
-        return np.zeros(1, dtype=np.int64), a
-    g = g[: n + 1]
-    q = np.zeros(len(a) - n, dtype=np.int64)
-    for d in range(len(a) - 1, n - 1, -1):
-        coef = int(a[d])
-        if coef:
-            q[d - n] = coef
-            a[d - n : d + 1] = (a[d - n : d + 1] - coef * g) % p
-    return q, poly_trim(a[:n])
+    q, r = _divmod(_reduced(a.tolist(), p), g[: n + 1].tolist(), p)
+    return _as_array(q), _as_array(r)
 
 
 def poly_mod(a: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
@@ -132,13 +127,39 @@ def poly_mod(a: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
 
 
 def poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a, b = poly_trim(a % p), poly_trim(b % p)
-    while poly_deg(b) >= 0:
-        a, b = b, poly_mod(a, poly_make_monic(b, p), p)
-        # remainder taken against monic form; rescaling does not change gcd
-    if poly_deg(a) < 0:
-        return a
-    return poly_make_monic(a, p)
+    """Monic gcd; [0] when both are zero."""
+    a, b = _reduced(a.tolist(), p), _reduced(b.tolist(), p)
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p) if a else 0
+    return _as_array([x * inv % p for x in a])
+
+
+def _reduced(c: list[int], p: int) -> list[int]:
+    """c mod p without trailing zeros ([] is zero), the Euclid layer's form."""
+    c = [x % p for x in c]
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _as_array(c: list[int]) -> np.ndarray:
+    return np.array(c or [0], dtype=np.int64)
+
+
+def _divmod(a: list[int], b: list[int], p: int):
+    """(quotient, remainder) of a by nonzero b; a is overwritten, and a and
+    b are reduced mod p only where they are read."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], a
+    inv = pow(b[-1], -1, p)
+    q = [0] * (len(a) - n)
+    for d in range(len(a) - 1, n - 1, -1):
+        q[d - n] = c = a[d] * inv % p
+        if c:
+            a[d - n : d] = [x - c * y for x, y in zip(a[d - n : d], b)]
+    return q, _reduced(a[:n], p)
 
 
 def poly_pow_mod(a: np.ndarray, e: int, g: np.ndarray, p: int) -> np.ndarray:
@@ -168,9 +189,10 @@ class ModRing:
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         """Length-n residue of any polynomial a."""
-        r = poly_mod(a, self.g, self.p)
+        if len(a) > self.n:
+            a = poly_mod(a, self.g, self.p)
         out = np.zeros(self.n, dtype=np.int64)
-        out[: len(r)] = r
+        out[: len(a)] = a % self.p
         return out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,13 +235,6 @@ def is_square_mod(t: np.ndarray, g: np.ndarray, p: int) -> bool:
     return len(s) == 1 and int(s[0]) == 1
 
 
-def poly_eval(a: np.ndarray, x: int, p: int) -> int:
-    acc = 0
-    for c in a[::-1]:
-        acc = (acc * x + int(c)) % p
-    return acc
-
-
 def poly_is_irreducible(f: np.ndarray, p: int) -> bool:
     """Irreducibility over F_p: the first distinct-degree block is f itself.
 
@@ -230,28 +245,6 @@ def poly_is_irreducible(f: np.ndarray, p: int) -> bool:
     if k <= 0:
         return False
     return next(distinct_degree_blocks(f, p))[0] == k
-
-
-def find_irreducible(p: int, k: int) -> np.ndarray:
-    """First monic irreducible of degree k over F_p in lexicographic order.
-
-    Coefficient tuples (c_{k-1}, ..., c_0) are scanned in ascending order, so
-    find_irreducible(5, 2) is x^2 + 2.
-    """
-    if k < 1:
-        raise ValueError("degree must be at least 1")
-    if k == 1:
-        return np.array([0, 1], dtype=np.int64)
-    for idx in range(p ** k):
-        coeffs = np.zeros(k + 1, dtype=np.int64)
-        coeffs[k] = 1
-        rem = idx
-        for pos in range(k):  # constant term varies fastest
-            coeffs[pos] = rem % p
-            rem //= p
-        if poly_is_irreducible(coeffs, p):
-            return coeffs
-    raise RuntimeError("no irreducible found (unreachable)")
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +472,7 @@ class ExtField:
     # -- element plumbing ---------------------------------------------------
 
     def elt(self, coeffs) -> "ExtFieldElement":
-        c = np.asarray(coeffs, dtype=np.int64) % self.p
-        if len(c) > self.degree:
-            c = poly_mod(c, self.modulus, self.p)
-        a = np.zeros(self.degree, dtype=np.int64)
-        a[: len(c)] = c
-        return ExtFieldElement(self, a)
+        return ExtFieldElement(self, self._ring.reduce(np.asarray(coeffs, dtype=np.int64)))
 
     def from_int(self, k: int) -> "ExtFieldElement":
         return self.elt([k])
@@ -790,7 +778,9 @@ class QuadExtElement:
 # ---------------------------------------------------------------------------
 
 def pow_elt(x, e: int):
-    """x^e by binary powering, for any field element (e >= 0)."""
+    """x^e for any field element (e >= 0); built-in pow on F_p."""
+    if isinstance(x, PrimeFieldElement):
+        return PrimeFieldElement(x.field, pow(x.v, e, x.field.p))
     if not hasattr(x, "field"):
         raise ValueError(f"not a field element: {x!r}")
     result = x.field.one()

@@ -243,21 +243,25 @@ def surjectivity_heuristic(samples, p: int) -> str:
     """
     if p < 5:
         raise ValueError(f"p = {p} is below 5")
-    saw_nonsquare = saw_square = saw_big_order = False
+    seen = 0
     for tr, det in samples:
-        tr %= p
-        det %= p
-        disc = (tr * tr - 4 * det) % p
-        s = legendre(disc, p)
-        if s == -1 and tr != 0:
-            saw_nonsquare = True
-        if s == 1 and tr != 0:
-            saw_square = True
-        if s != 0 and (1, 0) not in islice(_ratio_powers(tr, det, p), 5):
-            saw_big_order = True
-        if saw_nonsquare and saw_square and saw_big_order:
+        seen |= surjectivity_witnesses(tr, det, p)
+        if seen == ALL_WITNESSES:
             return "Full"
     return "Unknown"
+
+
+ALL_WITNESSES = 0b111
+
+
+def surjectivity_witnesses(tr: int, det: int, p: int) -> int:
+    """Bits 1, 2, 4: the witnesses of ``surjectivity_heuristic``, in its
+    order, that one (trace, det) pair gives.  ORed over a list, they make
+    ALL_WITNESSES exactly when the heuristic says 'Full'."""
+    tr, det = tr % p, det % p
+    s = legendre((tr * tr - 4 * det) % p, p)
+    big_order = s != 0 and (1, 0) not in islice(_ratio_powers(tr, det, p), 5)
+    return (tr != 0 and s == -1) | (tr != 0 and s == 1) << 1 | big_order << 2
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,14 @@ from functools import lru_cache
 from .curve import DivisionPolynomials, count_points_prime, discriminant
 from .finitefield import distinct_degree_blocks, is_prime, poly_deg
 from .gl2 import (
+    ALL_WITNESSES,
     gl2_order,
     mat_det,
     mat_order,
     mat_trace,
     subgroup_catalog,
     surjectivity_heuristic,
+    surjectivity_witnesses,
 )
 
 CATALOG_MODULI = (2, 3, 4)
@@ -295,7 +297,7 @@ def chebotarev_degree(
     use_heuristic = m in HEURISTIC_MODULI
 
     observed: Counter = Counter()
-    trace_samples: list[tuple[int, int]] = []
+    witnesses = 0  # surjectivity_heuristic's witnesses, one sample at a time
     primes: list[int] = []
     orders: list[int] = []
     lcms: list[int] = []
@@ -317,8 +319,8 @@ def chebotarev_degree(
             estimate = _catalog_estimate(m, observed)
             method = "catalog"
         elif use_heuristic:
-            trace_samples.append((a, ell))
-            if surjectivity_heuristic(trace_samples, m) == "Full":
+            witnesses |= surjectivity_witnesses(a, ell, m)
+            if witnesses == ALL_WITNESSES:
                 estimate = gl2_order(m)
                 method = "full-image"
             else:

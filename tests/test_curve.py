@@ -16,8 +16,10 @@ from torsionfields.curve import (
     discriminant,
     enumerate_points,
 )
-from torsionfields.finitefield import PrimeField, poly_deg, poly_eval
+from torsionfields.finitefield import PrimeField, poly_deg
 from torsionfields.gl2 import legendre
+
+from polyhelpers import poly_eval
 
 
 def test_discriminant_values():

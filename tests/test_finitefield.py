@@ -25,13 +25,11 @@ from torsionfields.finitefield import (
     QuadExt,
     distinct_degree_blocks,
     factor_squarefree,
-    find_irreducible,
     is_prime,
     is_square_elt,
     is_square_mod,
     poly_deg,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_is_irreducible,
     poly_make_monic,
@@ -43,6 +41,8 @@ from torsionfields.finitefield import (
     ts_sqrt,
 )
 from torsionfields.torsion import MAX_Q, torsion_data
+
+from polyhelpers import find_irreducible, poly_eval
 
 _X = np.array([0, 1], dtype=np.int64)
 
@@ -360,6 +360,62 @@ def test_poly_divmod_matches_schoolbook(case):
     q, r = poly_divmod(_arr(a), _arr(g), p)
     want_q, want_r = _ref_divmod(_ref_trim(a), g, p)
     assert (q.tolist(), r.tolist()) == (want_q, want_r)
+
+
+def _ref_monic(a, p):
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _ref_gcd(a, b, p):
+    """Euclid by long division against the monic form of each remainder."""
+    a, b = _ref_trim([c % p for c in a]), _ref_trim([c % p for c in b])
+    while b != [0]:
+        a, b = b, _ref_divmod(a, _ref_monic(b, p), p)[1]
+    return a if a == [0] else _ref_monic(a, p)
+
+
+@st.composite
+def _gcd_case(draw):
+    """(p, a, b) with a common factor w: unreduced and non-monic
+    coefficients, trailing zeros, and zero or constant inputs."""
+    p = draw(_PRIMES)
+    poly = lambda k: draw(st.lists(st.integers(-p, 2 * p - 1), min_size=1, max_size=k))
+    w = poly(6)
+    a, b = _ref_mul(poly(8), w, p), _ref_mul(poly(8), w, p)
+    # each input is the product itself, zero, or a nonzero constant
+    a, b = (draw(st.sampled_from([c, [0], [draw(st.integers(1, p - 1))]])) for c in (a, b))
+    pad = st.lists(st.just(0), max_size=3)
+    return p, a + draw(pad), b + draw(pad)
+
+
+def _assert_normal(c, p, monic):
+    """An int64 vector over F_p, trimmed; monic unless it is [0]."""
+    assert c.dtype == np.int64 and c.ndim == 1
+    coeffs = c.tolist()
+    assert all(0 <= x < p for x in coeffs)
+    if coeffs != [0]:
+        assert coeffs[-1] == 1 if monic else coeffs[-1] != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gcd_case())
+@example((7, [0], [0]))                                  # gcd(0, 0) = 0
+@example((7, [0, 0], [3]))                               # gcd(0, 3) = 1
+@example((_TOP_PRIME, [5, 0, 0], [0, 0, -2, 0]))         # gcd(5, -2x^2) = 1
+@example((13, [0, 3, 3, 0], [0, 0, 5]))                  # gcd(3x^2+3x, 5x^2) = x
+@example((101, [1, 1], [2, 1, 0]))                       # coprime: gcd = 1
+def test_poly_gcd_matches_schoolbook(case):
+    p, a, b = case
+    g = poly_gcd(_arr(a), _arr(b), p)
+    assert g.tolist() == _ref_gcd(a, b, p)
+    _assert_normal(g, p, monic=True)
+    _assert_normal(poly_make_monic(_arr(a), p), p, monic=True)
+    if g.tolist() != [0]:
+        for c in (a, b):
+            q, r = poly_divmod(_arr(c), g, p)
+            assert r.tolist() == [0]
+            _assert_normal(q, p, monic=False)
 
 
 @settings(max_examples=30, deadline=None)

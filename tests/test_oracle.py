@@ -6,10 +6,12 @@ degree estimates against the exact m=3 / m=4 classifiers.  Expected
 values below were frozen from hand-checked classifications.
 """
 
+import functools
 import math
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,8 @@ from torsionfields.classify3 import classify3
 from torsionfields.classify4 import classify4
 from torsionfields.curve import DivisionPolynomials, discriminant
 from torsionfields.finitefield import factor_squarefree, is_square_mod, poly_deg, poly_roots
-from torsionfields.gl2 import gl2_order
+from torsionfields.gl2 import gl2_order, surjectivity_heuristic, surjectivity_witnesses
+from torsionfields import oracle
 from torsionfields.oracle import (
     chebotarev_degree,
     frobenius_fingerprint,
@@ -206,6 +209,50 @@ def test_cm_curve_never_full_mod_7():
     assert est.method == "lcm"
     assert est.estimate == est.lcm
     assert est.estimate < gl2_order(7)
+
+
+def test_running_witnesses_match_whole_list_verdict(monkeypatch):
+    # chebotarev_degree folds each prime's (trace, ell) into running witness
+    # flags; after every prime its verdict must be the one
+    # surjectivity_heuristic gives on the whole list of samples so far
+    fingerprint = functools.lru_cache(maxsize=None)(oracle.frobenius_fingerprint)
+    monkeypatch.setattr(oracle, "frobenius_fingerprint", fingerprint)
+    rng = random.Random(20)
+    curves = [(Fraction(0), Fraction(-1))]  # CM: never "Full"
+    while len(curves) < 4:
+        A, B = Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30))
+        if discriminant(A, B) != 0:
+            curves.append((A, B))
+    flips = 0
+    for A, B in curves:
+        for m in (5, 7):
+            full_before = False
+            for budget in range(1, 13):
+                est = chebotarev_degree(A, B, m, budget=budget)
+                samples = [(fingerprint(ell, A, B, m)[0], ell) for ell in est.primes]
+                full = surjectivity_heuristic(samples, m) == "Full"
+                assert (est.method == "full-image") == full, (A, B, m, budget)
+                assert est.estimate == (gl2_order(m) if full else est.lcms[-1])
+                flips += full and not full_before
+                full_before = full
+    assert flips >= 4  # the verdict turns to "Full" within the run
+
+
+def test_running_witnesses_wait_for_all_three(monkeypatch):
+    # a made-up trace at each of the first three good primes for y^2 = x^3 +
+    # x + 1 at m = 5 (7, 11, 13) shows the witnesses as bits 2, then 1, then
+    # 1 | 4: only the third prime completes them
+    A, B, m = Fraction(1), Fraction(1), 5
+    wanted = dict(zip(islice(good_primes(A, B, m), 3), (2, 1, 5)))
+    traces = {ell: next(t for t in range(m) if surjectivity_witnesses(t, ell, m) == w)
+              for ell, w in wanted.items()}
+    monkeypatch.setattr(oracle, "frobenius_fingerprint",
+                        lambda ell, A, B, m: (traces[ell], 1, None))
+    for budget in (1, 2, 3):
+        est = chebotarev_degree(A, B, m, budget=budget)
+        full = surjectivity_heuristic([(traces[ell], ell) for ell in est.primes], m)
+        assert full == ("Full" if budget == 3 else "Unknown")
+        assert est.method == ("full-image" if budget == 3 else "lcm")
 
 
 def test_lcm_path_composite_m():
