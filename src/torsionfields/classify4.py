@@ -24,7 +24,6 @@ from .numberfield import (
     ClassificationDefect,
     CubicField,
     QuadTower,
-    biquadratic_mul,
     embed,
     is_rational_square,
     lift,
@@ -72,6 +71,12 @@ class TwoTorsionSplit:
         return (self.alpha - self.beta, self.alpha - self.gamma,
                 self.beta - self.gamma)
 
+    def roots_fit(self) -> bool:
+        """Vieta's formulas: alpha, beta, gamma are the roots of x^3 + A x + B."""
+        a, b, g, F = self.alpha, self.beta, self.gamma, self.field
+        return (a + b + g, a * b + a * g + b * g, a * b * g) == \
+            (lift(F, 0), lift(F, self.A), lift(F, -self.B))
+
 
 def two_torsion_split(A, B) -> TwoTorsionSplit:
     """Exact splitting field of x^3 + A x + B with labelled roots."""
@@ -114,9 +119,7 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
             b, g = (-a + sd) / 2, (-a - sd) / 2
             split = TwoTorsionSplit(A, B, "irreducible", 6, F, a, b, g, disc)
 
-    a, b, g, F = split.alpha, split.beta, split.gamma, split.field
-    if (a + b + g, a * b + a * g + b * g, a * b * g) != \
-            (lift(F, 0), lift(F, A), lift(F, -B)):
+    if not split.roots_fit():
         raise ClassificationDefect("the labelled roots fail Vieta's formulas")
     return split
 
@@ -131,10 +134,10 @@ class FourTorsionPoint:
 
     x and y are exact elements of `tower` = K2(s)(t), where s^2 = a and
     t^2 = b are the differences (root - other1), (root - other2):
-    x = root + sign*s*t and y = sign*b*s + a*t.  The curve identity
-    y^2 = x^3 + A x + B is checked exactly on the basis (1, s, t, st) over
-    K2; the numeric values (256-bit, distinguished embedding) are kept for
-    reporting and the duplication check.
+    x = root + sign*s*t and y = sign*b*s + a*t.  They lie on the curve
+    because the split's roots fit Vieta's formulas (see
+    `four_torsion_points`); the numeric values (256-bit, distinguished
+    embedding) are kept for reporting and the duplication check.
     """
 
     halves: str                  # "alpha" | "beta" | "gamma"
@@ -149,9 +152,15 @@ def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
     """The six order-4 points (one per sign of the halved abscissa, modulo
     y -> -y), with exact tower coordinates and numeric verification.
 
-    Each point is checked exactly: y^2 - x (x^2 + A) - B, written on the
-    basis (1, s, t, st) over K2 with `biquadratic_mul`, must have all four
-    coordinates zero.  The values take the principal roots of a and b."""
+    One exact check covers all six points.  With a = r0 - r1, b = r0 - r2,
+    x = r0 + sigma*s*t and y = sigma*b*s + a*t,
+        y^2 = ab(a + b) + 2 sigma ab st
+            = sigma st (sigma st + a)(sigma st + b) = (x - r0)(x - r1)(x - r2),
+    so y^2 = x^3 + A x + B as soon as r0, r1, r2 are the roots of the
+    cubic, which is what `TwoTorsionSplit.roots_fit` checks.  The values
+    take the principal roots of a and b."""
+    if not split.roots_fit():
+        raise ClassificationDefect("curve identity fails in the tower")
     A, B, K = split.A, split.B, split.field
     zero = lift(K, 0)
     out = []
@@ -168,11 +177,6 @@ def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
             sn, tn = mpmath.sqrt(mpmath.mpc(an)), mpmath.sqrt(mpmath.mpc(bn))
             for sign in (1, -1):
                 xc, yc = (r0, zero, zero, sign), (zero, b * sign, a, zero)
-                xx = biquadratic_mul(xc, xc, a, b)
-                fx = biquadratic_mul(xc, (xx[0] + A,) + xx[1:], a, b)
-                yy = biquadratic_mul(yc, yc, a, b)
-                if (yy[0] - B,) + yy[1:] != fx:
-                    raise ClassificationDefect("curve identity fails in the tower")
                 x, y = (L2.elt(L1.elt(c[0], c[1]), L1.elt(c[2], c[3]))
                         for c in (xc, yc))
                 xn = rn + (sn if sign > 0 else -sn) * tn

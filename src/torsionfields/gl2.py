@@ -119,10 +119,6 @@ def gl2_elements(m: int) -> list[tuple]:
     return out
 
 
-def gl2_brute_count(m: int) -> int:
-    return len(gl2_elements(m))
-
-
 # ---------------------------------------------------------------------------
 # the unipotent-like generator [[-1, 1], [0, -1]] and its powers
 # ---------------------------------------------------------------------------
@@ -154,15 +150,6 @@ def lift_gl2f2(M2: tuple) -> tuple:
     r1 = lift_row[(M2[0] % 2, M2[1] % 2)]
     r2 = lift_row[(M2[2] % 2, M2[3] % 2)]
     return (r1[0], r1[1], r2[0], r2[1])
-
-
-def section_is_homomorphism() -> bool:
-    G2 = gl2_elements(2)
-    for M in G2:
-        for N in G2:
-            if lift_gl2f2(mat_mul(M, N, 2)) != mat_mul(lift_gl2f2(M), lift_gl2f2(N), 4):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,9 @@ gcd, and equal elements have equal integers.  Norm, inverse and the
 characteristic polynomial come from one integer adjugate of the
 multiplication matrix.  A tower element is a pair (u, v) meaning
 u + v*sqrt(D), with u, v in the floor below: a Fraction over Q, a cubic
-element, or another tower element.  Two square roots s, t over one floor
-F can also be worked on the basis (1, s, t, st) with coordinates in F:
-`biquadratic_mul` multiplies there with a dozen floor products, where the
-nested tower F(s)(t) would renormalize at every level.  `lift` carries a
-rational or a lower-floor element up into a field, and `to_mpf` turns a
-rational into an mpmath number.
+element, or another tower element.  `lift` carries a rational or a
+lower-floor element up into a field, and `to_mpf` turns a rational into an
+mpmath number.
 
 ``multiquadratic_reduce`` implements the subset trick: theta is a square in
 base(sqrt(d_1), ..., sqrt(d_k)) iff theta * prod_{i in S} d_i is a square in
@@ -583,24 +580,6 @@ class TowerElement:
 
     def __repr__(self):
         return f"({self.u!r}) + ({self.v!r})*sqrt(D)"
-
-
-def biquadratic_mul(p, q, a, b):
-    """(p0 + p1 s + p2 t + p3 st)(q0 + ... + q3 st) with s^2 = a, t^2 = b in
-    a floor F; coordinates are elements of F or rationals, zeros skipped.
-    Index bit 0 stands for s and bit 1 for t, so basis vectors i and j
-    multiply to vector i ^ j times a if both hold s and b if both hold t."""
-    out = [0, 0, 0, 0]
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            if pi and qj:
-                c = pi * qj
-                if i & j & 1:
-                    c = c * a
-                if i & j & 2:
-                    c = c * b
-                out[i ^ j] = out[i ^ j] + c if out[i ^ j] else c
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def test_split_properties(A, B):
     (SPLIT_A, SPLIT_B), (-22, -15), (-3, 1), (-4, 1), (0, 2), (1, 0), (0, 1),
 ])
 def test_four_torsion_points_verify(A, B):
-    # exact curve identity + numeric duplication check both run inside
+    # the exact Vieta check and the numeric residual and duplication
+    # checks all run inside
     pts = four_torsion_points(two_torsion_split(A, B))
     assert len(pts) == 6
     assert sorted(p.halves for p in pts) == \
@@ -157,20 +158,29 @@ def test_four_torsion_points_exact_coordinates_pinned():
     assert h.hexdigest() == FOUR_TORSION_SHA256
 
 
-# one curve per shape of K2: Q, Q(sqrt 13), cyclic cubic, cubic plus sqrt
+# one curve per shape of K2: Q, Q(sqrt 13), cyclic cubic, cubic plus sqrt,
+# with the ids pytest gives these (A, B) pairs
 CORRUPTIBLE = [(SPLIT_A, SPLIT_B), (-22, -15), (-3, 1), (-4, 1)]
+CORRUPTIBLE_IDS = ["A0-B0", "-22--15", "-3-1", "-4-1"]
+# (beta, gamma) shifts: gamma + 1 moves alpha + beta + gamma; (beta + 1,
+# gamma - 1) keeps it, so only the second and third Vieta identities see it
+CORRUPTIONS = [pytest.param(A, B, (0, 1), id=i)
+               for (A, B), i in zip(CORRUPTIBLE, CORRUPTIBLE_IDS)] + \
+              [pytest.param(A, B, (1, -1), id=f"{i}-trace-kept")
+               for (A, B), i in zip(CORRUPTIBLE, CORRUPTIBLE_IDS)]
 
 
-def _corrupted_split(A, B):
+def _corrupted_split(A, B, shift):
     split = two_torsion_split(A, B)
-    return dataclasses.replace(split, gamma=split.gamma + 1)
+    return dataclasses.replace(split, beta=split.beta + shift[0],
+                               gamma=split.gamma + shift[1])
 
 
-@pytest.mark.parametrize("A,B", CORRUPTIBLE)
-def test_four_torsion_points_rejects_a_corrupted_split(A, B):
-    # the exact curve identity fails before any numeric check runs
+@pytest.mark.parametrize("A,B,shift", CORRUPTIONS)
+def test_four_torsion_points_rejects_a_corrupted_split(A, B, shift):
+    # the exact Vieta check fails before any numeric check runs
     with pytest.raises(ClassificationDefect, match="curve identity"):
-        four_torsion_points(_corrupted_split(A, B))
+        four_torsion_points(_corrupted_split(A, B, shift))
 
 
 def test_exact_checks_survive_python_optimize():

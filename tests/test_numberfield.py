@@ -17,10 +17,8 @@ from torsionfields.numberfield import (
     SQUARE,
     CubicField,
     QuadTower,
-    biquadratic_mul,
     is_rational_cube,
     is_rational_square,
-    lift,
     multiquadratic_reduce,
     rational_cbrt,
     rational_roots,
@@ -348,52 +346,3 @@ def test_sqrt_in_dispatch():
     assert sqrt_in(F, F.gen() * F.gen())[0] == SQUARE
     T = QuadTower(None, 5)
     assert sqrt_in(T, T.elt(5, 0))[0] == SQUARE  # 5 = sqrt(5)^2
-
-
-# ---------------------------------------------------------------------------
-# the (1, s, t, st) basis of a biquadratic layer
-# ---------------------------------------------------------------------------
-
-_GENERIC_CUBIC = CubicField(Fraction(-4), Fraction(1))
-# every shape a 2-torsion field takes: Q, Q(sqrt 13), a cyclic cubic field,
-# and a quadratic tower over a cubic field
-BIQUADRATIC_FLOORS = [None, QuadTower(None, 13), CubicField(Fraction(-3), Fraction(1)),
-                      QuadTower(_GENERIC_CUBIC, _GENERIC_CUBIC.elt(16, 0, -3))]
-_small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
-
-
-def _floor_element(K, draw):
-    qs = [draw(_small) for _ in range(6)]
-    if K is None:
-        return qs[0]
-    if isinstance(K, CubicField):
-        return K.elt(*qs[:3])
-    if K.base is None:
-        return K.elt(qs[0], qs[1])
-    return K.elt(K.base.elt(*qs[:3]), K.base.elt(*qs[3:]))
-
-
-def _coordinate(K, draw):
-    """A floor element, a rational, or one of the zeros the product skips."""
-    kind = draw(st.sampled_from(["element", "element", "rational", "int", "zero"]))
-    if kind == "element":
-        return _floor_element(K, draw)
-    if kind == "rational":
-        return draw(_small)
-    return draw(st.integers(-3, 3)) if kind == "int" else lift(K, 0)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(BIQUADRATIC_FLOORS), st.data())
-def test_biquadratic_mul_matches_nested_towers(K, data):
-    a, b = _floor_element(K, data.draw), _floor_element(K, data.draw)
-    p, q = (tuple(_coordinate(K, data.draw) for _ in range(4)) for _ in range(2))
-    L1 = QuadTower(K, a)
-    L2 = QuadTower(L1, lift(L1, b))
-
-    def nested(c):
-        return L2.elt(L1.elt(c[0], c[1]), L1.elt(c[2], c[3]))
-
-    got = biquadratic_mul(p, q, a, b)
-    assert len(got) == 4
-    assert nested(got) == nested(p) * nested(q)
