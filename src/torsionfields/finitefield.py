@@ -18,8 +18,8 @@ protocol used by the curve/torsion layers:
     field.zero(), field.one(), field.from_int(k), field.nth_element(i)
     field.order(), field.degree, field.p
     field.sqrt(elt) -> elt | None          (canonical choice of root)
-    field.frobenius_power(elt, k)          (elt -> elt^(p^k))
-    field.fixed_by(elt, k)                 (elt^(p^k) == elt)
+    field.frobenius_power(elt, k)          (elt -> elt^(p^k); elt when degree | k)
+    field.fixed_by(elt, k)                 (elt^(p^k) == elt; True when degree | k)
 
 and elements support +, -, *, /, ==, bool, .encode() (a tuple of ints usable
 as a sort key or dict key).
@@ -524,17 +524,14 @@ class ExtField:
         k %= self.degree
         if k in self._frob_mats:
             return self._frob_mats[k]
-        n = self.degree
-        if k == 0:
-            m = np.eye(n, dtype=np.int64)
-        elif 1 not in self._frob_mats:
+        if 1 not in self._frob_mats:
             m = self._ring.frobenius_matrix()
             self._frob_mats[1] = m
             if k != 1:
                 m = self.frobenius_power_matrix(k)
         else:
             base = self._frob_mats[1]
-            m = np.eye(n, dtype=np.int64)
+            m = np.eye(self.degree, dtype=np.int64)
             e = k
             while e:
                 if e & 1:
@@ -545,10 +542,14 @@ class ExtField:
         return m
 
     def frobenius_power(self, a: "ExtFieldElement", k: int) -> "ExtFieldElement":
+        if k % self.degree == 0:
+            return a
         m = self.frobenius_power_matrix(k)
         return ExtFieldElement(self, (m @ a.c) % self.p)
 
     def fixed_by(self, a: "ExtFieldElement", k: int) -> bool:
+        if k % self.degree == 0:
+            return True
         m = self.frobenius_power_matrix(k)
         return bool(np.array_equal((m @ a.c) % self.p, a.c))
 
@@ -672,11 +673,15 @@ class QuadExt:
         return s
 
     def frobenius_power(self, x: "QuadExtElement", k: int):
+        if k % self.degree == 0:
+            return x
         a = self.base.frobenius_power(x.a, k)
         b = self.base.frobenius_power(x.b, k) * self._s_k(k)
         return self.elt(a, b)
 
     def fixed_by(self, x: "QuadExtElement", k: int) -> bool:
+        if k % self.degree == 0:
+            return True
         if not self.base.fixed_by(x.a, k):
             return False
         return self.base.frobenius_power(x.b, k) * self._s_k(k) == x.b

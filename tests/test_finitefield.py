@@ -181,13 +181,16 @@ def test_ext_field_frobenius_is_pth_power(f5_2):
     for i in range(F.order()):
         a = F.nth_element(i)
         assert F.frobenius_power(a, 1) == pow_elt(a, 5) if a else True
-        assert F.frobenius_power(a, 2) == a  # a^(q^n) = a
+        for k in (0, 2, 4):
+            assert F.frobenius_power(a, k) == a  # a^(q^n) = a
+            assert F.fixed_by(a, k)
 
 
 def test_ext_field_fixed_by_detects_prime_subfield(f5_2):
     F = f5_2
     assert F.fixed_by(F.from_int(3), 1)
     assert not F.fixed_by(F.gen(), 1)
+    assert not F.fixed_by(F.gen(), 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,8 +244,28 @@ def test_quad_ext_arithmetic_and_frobenius():
     # Frobenius has order 2 here and must be the conjugation a - b*Y
     fa = Q.frobenius_power(a, 1)
     assert fa == Q.elt(F.elt(2), F.elt(-5))
-    assert Q.frobenius_power(a, 2) == a
-    assert Q.fixed_by(a, 2) and not Q.fixed_by(a, 1)
+    for k in (0, 2, 4):
+        assert Q.frobenius_power(a, k) == a
+        assert Q.fixed_by(a, k)
+    assert not Q.fixed_by(a, 1)
+
+
+def test_quad_ext_over_ext_field_frobenius(f5_2):
+    # over F_25, Frobenius^2 fixes the base but sends Y to -Y, so it fixes
+    # no element with b != 0 although 2 is a multiple of the base degree
+    F = f5_2
+    t = next(F.nth_element(i) for i in range(1, 25) if not is_square_elt(F.nth_element(i)))
+    Q = QuadExt(F, t)
+    assert Q.degree == 4
+    rng = random.Random(4)
+    for _ in range(10):
+        a = Q.elt(F.nth_element(rng.randrange(25)), F.nth_element(rng.randrange(1, 25)))
+        assert Q.frobenius_power(a, 1) == pow_elt(a, 5)
+        assert Q.frobenius_power(a, 2) == pow_elt(a, 25) == Q.elt(a.a, -a.b)
+        assert not Q.fixed_by(a, 2) and not Q.fixed_by(a, 6)
+        for k in (0, 4, 8):
+            assert Q.frobenius_power(a, k) == a == pow_elt(a, 5 ** k)
+            assert Q.fixed_by(a, k)
 
 
 def test_quad_ext_sqrt():

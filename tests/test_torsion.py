@@ -15,6 +15,7 @@ from torsionfields.torsion import (
     TorsionConstructionError,
     _construct_via_division_poly,
     _group_order_over_ext,
+    _independent,
     _torsion_points,
     torsion_data,
     weil_pairing,
@@ -173,12 +174,49 @@ def test_frobenius_determinant_and_order():
         assert k == td.n
 
 
+# (q, A, B, m, field model): odd m, even m, and m = 2, where (1, 1) = -(1, 1)
+TABLE_CASES = [
+    (5, 1, 0, 2, "PrimeField"),
+    (5, 0, 1, 2, "ExtField"),
+    (13, 1, 1, 4, "QuadExt"),
+    (13, 0, 5, 4, "PrimeField"),
+    (5, 4, 0, 4, "ExtField"),
+    (5, 0, 1, 6, "QuadExt"),
+    (31, 0, 1, 6, "PrimeField"),
+    (7, 0, 1, 9, "ExtField"),
+    (5, 0, 1, 13, "QuadExt"),
+]
+
+
 def test_table_is_the_group():
-    td = _data(13, 1, 1, 4)
-    E = td.curve
-    for i1, j1, i2, j2 in [(1, 0, 0, 1), (1, 2, 3, 1), (2, 3, 2, 1), (3, 3, 1, 3)]:
-        S = E.add(td.point(i1, j1), td.point(i2, j2))
-        assert _same(S, td.point(i1 + i2, j1 + j2))
+    # every entry against i P1 + j P2 from scalar multiples, and the symmetry
+    # -(i P1 + j P2) = (-i) P1 + (-j) P2 the table is built from
+    for q, A, B, m, model in TABLE_CASES:
+        td = _data(q, A, B, m)
+        assert type(td.field).__name__ == model
+        E = td.curve
+        for i in range(m):
+            for j in range(m):
+                P = td.point(i, j)
+                assert _same(P, E.add(E.mul(td.P1, i), E.mul(td.P2, j))), (q, A, B, m, i, j)
+                assert _same(td.point(-i, -j), E.neg(P)), (q, A, B, m, i, j)
+        for i1, j1, i2, j2 in [(1, 0, 0, 1), (1, 2, 3, 1), (2, 3, 2, 1), (3, 3, 1, 3)]:
+            S = E.add(td.point(i1, j1), td.point(i2, j2))
+            assert _same(S, td.point(i1 + i2, j1 + j2))
+
+
+@pytest.mark.parametrize("q, A, B, m", [(7, 1, 1, 5), (7, 0, 1, 9), (5, 0, 1, 12)])
+def test_independent_is_the_determinant_test(q, A, B, m):
+    # a P1 + c P2 and b P1 + d P2 form a basis iff ad - bc is a unit mod m
+    td = _data(q, A, B, m)
+    rng = random.Random(m)
+    seen = set()
+    for _ in range(80):
+        a, b, c, d = (rng.randrange(m) for _ in range(4))
+        want = math.gcd(a * d - b * c, m) == 1
+        assert _independent(td.curve, td.point(a, c), td.point(b, d), m) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_decompose_roundtrip():
