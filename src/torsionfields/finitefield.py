@@ -12,6 +12,13 @@ its largest modulus (q <= 331363921).  The Euclid layer (``poly_divmod``,
 converting once each way: it takes one leading coefficient at a time, where
 numpy's cost per call outweighs its arithmetic, and needs no overflow bound.
 
+Factoring reads every power x^{p^d} off one Frobenius matrix (von zur Gathen &
+Shoup, *Comput. Complexity* 2, 1992).  ``distinct_degree_blocks`` takes one gcd
+per interval of degrees and refines only the intervals that hit (Kaltofen &
+Shoup, *Math. Comp.* 67, 1998), and reports with each block the product of its
+factors on which a given t is a square.  ``equal_degree_split`` splits one
+block into its factors, so a caller that needs one factor splits one block.
+
 The three field classes (PrimeField, ExtField, QuadExt) expose one duck-typed
 protocol used by the curve/torsion layers:
 
@@ -27,6 +34,7 @@ as a sort key or dict key).
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -229,12 +237,6 @@ class ModRing:
         return m
 
 
-def is_square_mod(t: np.ndarray, g: np.ndarray, p: int) -> bool:
-    """Is t a nonzero square in the field F_p[x]/(g), g monic irreducible?"""
-    s = poly_pow_mod(t, (p ** poly_deg(g) - 1) // 2, g, p)
-    return len(s) == 1 and int(s[0]) == 1
-
-
 def poly_is_irreducible(f: np.ndarray, p: int) -> bool:
     """Irreducibility over F_p: the first distinct-degree block is f itself.
 
@@ -252,85 +254,132 @@ def poly_is_irreducible(f: np.ndarray, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def distinct_degree_blocks(g: np.ndarray, p: int, t: np.ndarray | None = None):
-    """Distinct-degree blocks (d, P_d, squares) of g over F_p, d increasing.
+    """Distinct-degree blocks (d, P_d, S_d) of squarefree g over F_p, d increasing.
 
     P_d is the product of the degree-d irreducible factors of g, for every d
-    that has one; for squarefree g the blocks multiply to monic g.  The
-    powers x^{p^d} mod g are matrix-vector products with the Frobenius
-    matrix of g, which is built once: gcd(x^{p^d} - x, rest) does not change
-    when x^{p^d} is reduced mod g rather than mod the shrinking rest.
+    that has one; the blocks multiply to monic g.  When g is not squarefree,
+    only the first d is meaningful: the least degree of a factor of g.  The
+    powers h_d = x^{p^d} mod g are matrix-vector products with the Frobenius
+    matrix of g, which is built once: gcd(h_d - x, rest) does not change when
+    h_d is reduced mod g rather than mod the shrinking rest.
 
-    With t given, squares counts the factors f of P_d on which t is a
-    nonzero square, deg gcd(P_d, W_d - 1) / d with W_d = t^{(p^d - 1)/2}
-    mod g.  W_d is the product of sigma^i(u) over i < d, u = t^{(p-1)/2},
-    sigma the Frobenius (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, sec. 14.2-14.3); squares is None without t.
+    The degrees are taken in intervals of width floor(sqrt(deg g / 2)): one
+    gcd of rest with the product of h_d - x over the interval finds every
+    factor of a degree in it, and only an interval that hits is refined,
+    degree by degree, against that gcd G.  Once deg G < 2d, G is one
+    irreducible factor (von zur Gathen & Shoup, Comput. Complexity 2, 1992;
+    Kaltofen & Shoup, Math. Comp. 67, 1998).
+
+    With t given, S_d = gcd(W_d - 1, P_d) is the product of the factors of
+    P_d on which t is a nonzero square, W_d = t^{(p^d - 1)/2} mod g.  W_d is
+    the product of sigma^i(u) over i < d, u = t^{(p-1)/2}, sigma the
+    Frobenius (von zur Gathen & Gerhard, *Modern Computer Algebra*, sec.
+    14.2-14.3); S_d is None without t.
     """
     g = poly_make_monic(g, p)
-    if poly_deg(g) <= 0:
+    n = poly_deg(g)
+    if n <= 0:
         return
     ring = ModRing(g, p)
     frob = ring.frobenius_matrix()
-    h = ring.reduce(_X)
+    width = max(1, math.isqrt(n // 2))
     if t is not None:
         sigma_u = ring.reduce(ring.pow(t, (p - 1) // 2))
         w, w_deg = ring.reduce(np.ones(1, dtype=np.int64)), 0
-    rest, d = g, 0
+
+    def block(d, part):
+        nonlocal sigma_u, w, w_deg
+        if t is None:
+            return d, part, None
+        while w_deg < d:
+            if w_deg:
+                sigma_u = frob @ sigma_u % p
+            w, w_deg = ring.mul(w, sigma_u), w_deg + 1
+        w_minus_1 = w.copy()
+        w_minus_1[0] -= 1
+        return d, part, poly_gcd(w_minus_1, part, p)
+
+    h = ring.reduce(_X)
+    rest, done = g, 0  # rest has no factor of degree <= done
     while poly_deg(rest) > 0:
-        d += 1
-        if 2 * d > poly_deg(rest):
+        if 2 * (done + 1) > poly_deg(rest):
             # no factor of degree <= deg/2 is left: rest is irreducible
-            d, part = poly_deg(rest), rest
-        else:
+            yield block(poly_deg(rest), rest)
+            return
+        hs, prod = [], None
+        for d in range(done + 1, min(done + width, poly_deg(rest) // 2) + 1):
             h = frob @ h % p
-            part = poly_gcd(poly_sub(h, _X, p), rest, p)
-            if poly_deg(part) <= 0:
-                continue
-        squares = None
-        if t is not None:
-            while w_deg < d:
-                if w_deg:
-                    sigma_u = frob @ sigma_u % p
-                w, w_deg = ring.mul(w, sigma_u), w_deg + 1
-            w_minus_1 = w.copy()
-            w_minus_1[0] -= 1
-            squares = poly_deg(poly_gcd(w_minus_1, part, p)) // d
-        yield d, part, squares
-        rest = poly_make_monic(poly_divmod(rest, part, p)[0], p)
+            h_minus_x = poly_sub(h, _X, p)
+            hs.append((d, h_minus_x))
+            prod = h_minus_x if prod is None else ring.mul(prod, h_minus_x)
+        done = hs[-1][0]
+        G = poly_gcd(prod, rest, p)
+        if poly_deg(G) <= 0:
+            continue
+        rest = poly_divmod(rest, G, p)[0]
+        for d, h_minus_x in hs:
+            if poly_deg(G) < 2 * d:
+                # every factor of G has degree >= d: G is one of them
+                if poly_deg(G) > 0:
+                    yield block(poly_deg(G), G)
+                break
+            part = poly_gcd(h_minus_x, G, p)
+            if poly_deg(part) > 0:
+                yield block(d, part)
+                G = poly_divmod(G, part, p)[0]
 
 
 def factor_squarefree(g: np.ndarray, p: int, rng: random.Random) -> list[np.ndarray]:
     """Irreducible factors of a squarefree monic g over F_p.
 
-    Each distinct-degree block is split by ``_equal_degree_split`` in block
+    Each distinct-degree block is split by ``equal_degree_split`` in block
     order.  Returned factors are monic, sorted by (degree, coefficient tuple)
     so the factorization is deterministic even though the equal-degree
-    splitting uses the supplied rng.
+    splitting uses the supplied rng.  A caller that needs only some factors
+    splits only their blocks instead, as ``torsion`` does for m >= 3.
     """
     out: list[np.ndarray] = []
     for d, part, _ in distinct_degree_blocks(g, p):
-        out.extend(_equal_degree_split(part, d, p, rng))
+        out.extend(equal_degree_split(part, d, p, rng))
     out.sort(key=lambda f: (poly_deg(f), tuple(int(c) for c in f)))
     return out
 
 
-def _equal_degree_split(part: np.ndarray, d: int, p: int, rng: random.Random) -> list[np.ndarray]:
-    n = poly_deg(part)
-    if n == d:
+def equal_degree_split(part: np.ndarray, d: int, p: int, rng: random.Random) -> list[np.ndarray]:
+    """The irreducible factors of part, a product of distinct monic degree-d
+    irreducibles over F_p (Cantor-Zassenhaus), in no fixed order.
+
+    A random r splits part by gcd(r^{(p^d - 1)/2} - 1, part).  The power is
+    the product of sigma^i(r^{(p-1)/2}) over i < d, with sigma the Frobenius
+    matrix of part: a powmod of exponent (p - 1)/2 and d - 1 mat-vecs, not a
+    powmod of d log2 p bits (von zur Gathen & Shoup, Comput. Complexity 2,
+    1992).  The recursion works modulo part throughout and shares the matrix:
+    the gcd with a sub-block sees only the residue mod that sub-block.
+    """
+    if poly_deg(part) == d:
         return [part]
-    e = (p ** d - 1) // 2
-    while True:
-        r = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-        if poly_deg(r) < 1:
-            continue
-        cand = poly_gcd(r, part, p)
-        if not 0 < poly_deg(cand) < n:
-            s = poly_pow_mod(r, e, part, p).copy()
+    ring = ModRing(part, p)
+    frob = ring.frobenius_matrix() if d > 1 else None
+    e = (p - 1) // 2
+
+    def split(sub):
+        n = poly_deg(sub)
+        if n == d:
+            return [sub]
+        while True:
+            r = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+            if poly_deg(r) < 1:
+                continue
+            s = v = ring.reduce(ring.pow(r, e))
+            for _ in range(d - 1):
+                v = frob @ v % p
+                s = ring.mul(s, v)
             s[0] = (s[0] - 1) % p
-            cand = poly_gcd(s, part, p)
-        if 0 < poly_deg(cand) < n:
-            right = poly_make_monic(poly_divmod(part, cand, p)[0], p)
-            return _equal_degree_split(cand, d, p, rng) + _equal_degree_split(right, d, p, rng)
+            cand = poly_gcd(s, sub, p)
+            if 0 < poly_deg(cand) < n:
+                return split(cand) + split(poly_divmod(sub, cand, p)[0])
+
+    return split(part)
 
 
 def poly_roots(g: np.ndarray, p: int) -> list[int]:
@@ -344,7 +393,7 @@ def poly_roots(g: np.ndarray, p: int) -> list[int]:
     lin = poly_gcd(poly_sub(xp, _X, p), g, p)
     if poly_deg(lin) <= 0:
         return []
-    return sorted((-int(f[0])) % p for f in _equal_degree_split(lin, 1, p, random.Random(0)))
+    return sorted((-int(f[0])) % p for f in equal_degree_split(lin, 1, p, random.Random(0)))
 
 
 # ---------------------------------------------------------------------------

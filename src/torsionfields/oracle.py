@@ -114,9 +114,9 @@ def frobenius_fingerprint(ell: int, A: Fraction, B: Fraction, m: int):
     else:
         cubic = dp.curve_poly if has_two_part else None
         for d, part, squares in distinct_degree_blocks(poly, ell, dp.curve_poly):
-            count = poly_deg(part) // d
+            count, on_squares = poly_deg(part) // d, poly_deg(squares) // d
             main_degs.extend([d] * count)
-            vec_degs.extend([d] * (2 * squares) + [2 * d] * (count - squares))
+            vec_degs.extend([d] * (2 * on_squares) + [2 * d] * (count - on_squares))
 
     cub_degs: tuple[int, ...] = ()
     if cubic is not None:

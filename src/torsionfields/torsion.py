@@ -6,16 +6,20 @@ full torsion field F_q(E[m]) as an explicit extension, a deterministic basis
 pairing, and degree queries of the form "how large is the subfield generated
 by this set of coordinates".
 
-Strategy: factor the primitive part of the m-th division polynomial over F_q.
-Each irreducible factor of degree d contributes a point defined over F_{q^d}
-or its quadratic extension (checked by an Euler criterion on x^3 + Ax + B),
-and the torsion field degree n is the lcm of those contributions.  Some
+Strategy: each irreducible factor of degree d of the primitive part of the
+m-th division polynomial over F_q contributes a point defined over F_{q^d}
+or its quadratic extension (by an Euler criterion on x^3 + Ax + B), and the
+torsion field degree n is the lcm of those contributions.  The distinct-degree
+blocks give n without factoring: each block P_d splits into S_d, the product
+of its factors on which x^3 + Ax + B is a square (exponent d), and P_d / S_d
+(exponent 2d).  Only the sub-block that holds the chosen factor g*, the least
+of exponent n by (degree, coefficients), is split into its factors.  Some
 factor always realises the full degree n for m >= 3.  For a prime power, of
 the exact-order vectors e1, e2, e1+e2 at least one avoids the at most two
 proper "prematurely fixed by Frobenius" subgroups.  For composite m, a point
 is the sum of its prime-power parts and its degree is the lcm of theirs, so
 the sum of full-degree points of each part has degree n.  The torsion field
-is presented as F_q[x]/(that factor), possibly extended by a square root of
+is presented as F_q[x]/(g*), possibly extended by a square root of
 f(x1), and the second generator is drawn uniformly from E[m].  For m = 2 the
 field is the splitting field of the curve cubic.
 
@@ -38,9 +42,10 @@ from .finitefield import (
     ExtField,
     PrimeField,
     QuadExt,
+    distinct_degree_blocks,
+    equal_degree_split,
     factor_squarefree,
     is_prime,
-    is_square_mod,
     poly_deg,
     poly_divmod,
     pow_elt,
@@ -481,22 +486,29 @@ def _construct_two_torsion(q, A, B, rng):
 def _construct_via_division_poly(q, A, B, m, rng):
     """E over F_q(E[m]), the degree n and a point P1 of exact order m (m >= 3)."""
     D = DivisionPolynomials(q, A, B)
-    prim = _primitive_x_poly(D, m)
-    facs = factor_squarefree(prim, q, rng)
+    blocks = list(distinct_degree_blocks(_primitive_x_poly(D, m), q, D.curve_poly))
+    # a degree-d factor has exponent d where f(x) is a square on it, else 2d
     exps = []
-    for g in facs:
-        d = poly_deg(g)
-        exps.append(d if is_square_mod(D.curve_poly, g, q) else 2 * d)
+    for d, part, squares in blocks:
+        if poly_deg(squares) > 0:
+            exps.append(d)
+        if poly_deg(squares) < poly_deg(part):
+            exps.append(2 * d)
     n = math.lcm(*exps)
-    pick = next((i for i, e in enumerate(exps) if e == n), None)
-    if pick is None:
+    # g* is the least factor of exponent n by (degree, coefficients)
+    for d_star, part, squares in blocks:
+        if 2 * d_star == n and poly_deg(squares) < poly_deg(part):
+            sub = poly_divmod(part, squares, q)[0]
+            break
+        if d_star == n and poly_deg(squares) > 0:
+            sub = squares
+            break
+    else:
         raise TorsionConstructionError("no full-degree factor")
-    g_star = facs[pick]
-    d_star = poly_deg(g_star)
-    e_star = exps[pick]
+    g_star = min(equal_degree_split(sub, d_star, q, rng), key=lambda f: f.tolist())
 
     y1 = None
-    if e_star == d_star:
+    if n == d_star:
         if d_star == 1:
             F = PrimeField(q)
             x1 = F.from_int(-int(g_star[0]))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from torsionfields.finitefield import poly_is_irreducible
+from torsionfields.finitefield import poly_deg, poly_is_irreducible, poly_pow_mod
 
 
 def poly_eval(a: np.ndarray, x: int, p: int) -> int:
@@ -32,3 +32,9 @@ def find_irreducible(p: int, k: int) -> np.ndarray:
         if poly_is_irreducible(coeffs, p):
             return coeffs
     raise RuntimeError("no irreducible found (unreachable)")
+
+
+def is_square_mod(t: np.ndarray, g: np.ndarray, p: int) -> bool:
+    """Is t a nonzero square in the field F_p[x]/(g), g monic irreducible?"""
+    s = poly_pow_mod(t, (p ** poly_deg(g) - 1) // 2, g, p)
+    return len(s) == 1 and int(s[0]) == 1

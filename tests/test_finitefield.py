@@ -27,7 +27,6 @@ from torsionfields.finitefield import (
     factor_squarefree,
     is_prime,
     is_square_elt,
-    is_square_mod,
     poly_deg,
     poly_divmod,
     poly_gcd,
@@ -42,7 +41,7 @@ from torsionfields.finitefield import (
 )
 from torsionfields.torsion import MAX_Q, torsion_data
 
-from polyhelpers import find_irreducible, poly_eval
+from polyhelpers import find_irreducible, is_square_mod, poly_eval
 
 _X = np.array([0, 1], dtype=np.int64)
 
@@ -567,10 +566,7 @@ def test_distinct_degree_blocks_against_definition(case):
     assume(poly_deg(poly_gcd(g, _derivative(g, p), p)) == 0)
     blocks = list(distinct_degree_blocks(g, p, _arr(t)))
     assert [d for d, _, _ in blocks] == sorted({d for d, _, _ in blocks})
-    prod = np.ones(1, dtype=np.int64)
-    for d, part, _ in blocks:
-        prod = poly_mul(prod, part, p)
-    assert prod.tolist() == g.tolist()
+    assert _product([part for _, part, _ in blocks], p).tolist() == g.tolist()
     factors = factor_squarefree(g, p, random.Random(0))
     for d, part, squares in blocks:
         ring = ModRing(part, p)
@@ -579,11 +575,84 @@ def test_distinct_degree_blocks_against_definition(case):
             assert poly_deg(poly_gcd(_minus_x(ring.pow(_X, p ** e)), part, p)) == 0
         block_factors = [f for f in factors if poly_deg(f) == d]
         assert poly_deg(part) == d * len(block_factors)
-        assert squares == sum(is_square_mod(_arr(t), f, p) for f in block_factors)
+        on_squares = [f for f in block_factors if is_square_mod(_arr(t), f, p)]
+        assert squares.tolist() == _product(on_squares, p).tolist()
     assert [s for _, _, s in distinct_degree_blocks(g, p)] == [None] * len(blocks)
     # irreducible exactly when g is its own first block; a square never is
     assert poly_is_irreducible(g, p) == (len(factors) == 1)
     assert not poly_is_irreducible(poly_mul(factors[0], factors[0], p), p)
+
+
+def _product(factors, p):
+    out = np.ones(1, dtype=np.int64)
+    for f in factors:
+        out = poly_mul(out, f, p)
+    return out
+
+
+def _shifted(f, c, p):
+    """f(x + c), irreducible with f."""
+    out = np.zeros(1, dtype=np.int64)
+    for coeff in f[::-1]:
+        out = poly_mul(out, _arr([c, 1]), p)
+        out[0] = (out[0] + coeff) % p
+    return np.trim_zeros(out, "b")
+
+
+# factor degrees of products of degree 40-84 on both sides of the interval
+# edges: the width is floor(sqrt(deg / 2)), 4 at degree 44, 5 at 51 and 70, 6 at 84
+@pytest.mark.parametrize("degrees", [
+    (1, 2, 3, 4, 6, 7, 28),     # 51: 4 and 7 end their intervals with deg G < 2d
+    (1, 1, 2, 6, 6, 28),        # 44: two factors of degree 1 and two of degree 6
+    (3, 4, 7, 28, 28),          # 70: two factors of degree 28, in the interval [26, 28]
+    (28, 28, 28),               # 84: one block found by the interval [25, 30]
+])
+def test_distinct_degree_blocks_at_division_polynomial_degrees(degrees):
+    p = 101
+    factors, seen = [], {}
+    for k in degrees:
+        factors.append(_shifted(find_irreducible(p, k), seen.get(k, 0), p))
+        seen[k] = seen.get(k, 0) + 1
+    g = _product(factors, p)
+    assert 40 <= poly_deg(g) <= 84
+    t = _arr([5, 2, 0, 1])
+    want = []
+    for d in sorted(set(degrees)):
+        block = [f for f in factors if poly_deg(f) == d]
+        on_squares = [f for f in block if is_square_mod(t, f, p)]
+        want.append((d, _product(block, p).tolist(), _product(on_squares, p).tolist()))
+    got = [(d, part.tolist(), squares.tolist())
+           for d, part, squares in distinct_degree_blocks(g, p, t)]
+    assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 7, 28])
+def test_irreducible_but_not_its_square(k):
+    p = 101
+    f = _shifted(find_irreducible(p, k), 3, p)
+    assert poly_is_irreducible(f, p)
+    assert not poly_is_irreducible(poly_mul(f, f, p), p)
+
+
+def test_distinct_degree_blocks_take_one_gcd_per_interval(monkeypatch):
+    """E[13] over F_109 on y^2 = x^3 + 25x + 86: the primitive abscissa
+    polynomial (degree 84) is one block of three degree-28 factors.  The
+    degrees up to 42 fall in intervals of width 6, one gcd each, with one
+    gcd to refine the hit and one for the squares; a gcd per degree took 29."""
+    from torsionfields import finitefield
+    from torsionfields.curve import DivisionPolynomials
+    from torsionfields.torsion import _primitive_x_poly
+
+    q, A, B, m = 109, 25, 86, 13
+    D = DivisionPolynomials(q, A, B)
+    prim = _primitive_x_poly(D, m)
+    calls = []
+    monkeypatch.setattr(finitefield, "poly_gcd",
+                        lambda *args: calls.append(1) or poly_gcd(*args))
+    blocks = [(d, poly_deg(part)) for d, part, _ in
+              distinct_degree_blocks(prim, q, D.curve_poly)]
+    assert blocks == [(28, 84)]
+    assert len(calls) <= 12
 
 
 def test_poly_roots_of_a_split_cubic_at_the_largest_prime():

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from torsionfields.classify3 import classify3
 from torsionfields.classify4 import classify4
 from torsionfields.curve import DivisionPolynomials, discriminant
-from torsionfields.finitefield import factor_squarefree, is_square_mod, poly_deg, poly_roots
+from torsionfields.finitefield import factor_squarefree, poly_deg, poly_roots
 from torsionfields.gl2 import gl2_order, surjectivity_heuristic, surjectivity_witnesses
 from torsionfields import oracle
 from torsionfields.oracle import (
@@ -32,6 +32,8 @@ from torsionfields.oracle import (
     _mod,
 )
 from torsionfields.torsion import torsion_data
+
+from polyhelpers import is_square_mod
 
 
 # (A, B, m) -> (degree, method); all stabilize within 200 good primes.

@@ -8,7 +8,17 @@ import textwrap
 import pytest
 
 import torsionfields
-from torsionfields.finitefield import is_prime, pow_elt
+from torsionfields.curve import DivisionPolynomials, discriminant
+from torsionfields.finitefield import (
+    ExtField,
+    PrimeField,
+    QuadExt,
+    factor_squarefree,
+    is_prime,
+    poly_deg,
+    pow_elt,
+    primes_in_range,
+)
 from torsionfields.gl2 import factor_int
 from torsionfields.torsion import (
     MAX_Q,
@@ -16,10 +26,13 @@ from torsionfields.torsion import (
     _construct_via_division_poly,
     _group_order_over_ext,
     _independent,
+    _primitive_x_poly,
     _torsion_points,
     torsion_data,
     weil_pairing,
 )
+
+from polyhelpers import is_square_mod
 
 # a small spread of instances touching every field shape; (q, A, B, m)
 SPREAD = [
@@ -129,6 +142,48 @@ def test_construction_checks_survive_python_optimize():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True).stdout
     assert out.splitlines() == ["basis multiples share an abscissa"]
+
+
+def _reference_field_choice(q, A, B, m):
+    """(n, g*, model) by the full factorization: each irreducible factor g of
+    the primitive abscissa polynomial has exponent deg g, or 2 deg g where
+    f(x) is not a square mod g; n is their lcm and g* the first factor of
+    exponent n in (degree, coefficients) order."""
+    D = DivisionPolynomials(q, A, B)
+    facs = factor_squarefree(_primitive_x_poly(D, m), q, random.Random(0))
+    exps = [poly_deg(g) * (1 if is_square_mod(D.curve_poly, g, q) else 2) for g in facs]
+    n = math.lcm(*exps)
+    g_star = facs[exps.index(n)]
+    if poly_deg(g_star) < n:
+        return n, g_star.tolist(), QuadExt
+    return n, g_star.tolist(), PrimeField if n == 1 else ExtField
+
+
+def _seeded_curves(count):
+    rng = random.Random(14)
+    primes = primes_in_range(5, 150)
+    while count:
+        m, q = rng.randrange(3, 14), rng.choice(primes)
+        A, B = rng.randrange(q), rng.randrange(q)
+        if m % q and discriminant(A, B) % q:
+            count -= 1
+            yield q, A, B, m
+
+
+def test_field_choice_matches_the_full_factorization():
+    # E[m] is rational over F_q on the first four, so F_q itself is the field
+    rational = [(7, 0, 2, 3), (29, 4, 7, 4), (41, 6, 0, 5), (113, 5, 0, 7)]
+    models = set()
+    for i, (q, A, B, m) in enumerate(rational + list(_seeded_curves(200))):
+        E, n, (x1, _) = _construct_via_division_poly(q, A, B, m, random.Random(i))
+        F = E.field
+        base = F.base if isinstance(F, QuadExt) else F
+        xb = x1.a if isinstance(F, QuadExt) else x1
+        g_star = base.modulus.tolist() if isinstance(base, ExtField) else [-xb.v % q, 1]
+        assert (n, g_star, type(F)) == _reference_field_choice(q, A, B, m), (q, A, B, m)
+        models.add((type(F), type(base)))
+    assert models == {(PrimeField, PrimeField), (ExtField, ExtField),
+                      (QuadExt, PrimeField), (QuadExt, ExtField)}
 
 
 def test_two_torsion_frozen_example():
