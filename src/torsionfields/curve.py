@@ -1,9 +1,9 @@
 """Short Weierstrass curves y^2 = x^3 + A*x + B and their division polynomials.
 
-Group law and the x-coordinate duplication map are written against the duck
-typed element protocol (+, -, *, /, ==), so the same code serves prime fields,
-extensions, quadratic lifts, and exact rationals.  Points are (x, y) tuples,
-with None for the point at infinity — nothing projective is needed here.
+The group law is written against the duck typed element protocol (+, -, *,
+/, ==), so the same code serves prime fields, extensions, quadratic lifts,
+and exact rationals.  Points are (x, y) tuples, with None for the point at
+infinity — nothing projective is needed here.
 ``EllipticCurve.chord`` is the one chord-and-tangent step: it returns the sum
 and the slope of its line, which ``add`` drops and the Miller loop evaluates.
 
@@ -47,12 +47,6 @@ class EllipticCurve:
         """Right-hand side x^3 + A x + B."""
         return x * x * x + self.A * x + self.B
 
-    def is_on_curve(self, P) -> bool:
-        if P is None:
-            return True
-        x, y = P
-        return y * y == self.f(x)
-
     def neg(self, P):
         if P is None:
             return None
@@ -95,24 +89,11 @@ class EllipticCurve:
             k >>= 1
         return R
 
-    def x_of_double(self, x):
-        """x(2P) from x(P): (x^4 - 2A x^2 - 8B x + A^2) / (4(x^3 + A x + B)).
-
-        Raises ValueError on 2-torsion abscissas (where 2P is at infinity).
-        """
-        den = self.f(x)
-        if not den:
-            raise ValueError("x is a 2-torsion abscissa; 2P is at infinity")
-        sq = x * x - self.A
-        num = sq * sq - (self.B * x) * self.field.from_int(8)
-        return num / (den * self.field.from_int(4))
-
 
 # ---------------------------------------------------------------------------
-# F_p point enumeration / counting
+# F_p point counting
 # ---------------------------------------------------------------------------
 
-ENUMERATION_CAP = 10 ** 6
 #: x values per numpy pass of count_points_prime: a smaller p is one pass
 COUNT_CHUNK = 1 << 16
 
@@ -135,29 +116,6 @@ def count_points_prime(p: int, A: int, B: int) -> int:
         zero += int((fx == 0).sum())
         on += int((sq[fx] & (fx != 0)).sum())
     return 1 + zero + 2 * on
-
-
-def enumerate_points(curve: EllipticCurve):
-    """All points of a curve over a PrimeField (None for infinity first).
-
-    Refuses fields larger than the enumeration cap.
-    """
-    F = curve.field
-    p = F.order()
-    if p > ENUMERATION_CAP:
-        raise ValueError("field too large to enumerate")
-    pts = [None]
-    for xv in range(p):
-        x = F.from_int(xv)
-        fx = curve.f(x)
-        if not fx:
-            pts.append((x, F.zero()))
-            continue
-        r = F.sqrt(fx)
-        if r is not None:
-            pts.append((x, r))
-            pts.append((x, -r))
-    return pts
 
 
 # ---------------------------------------------------------------------------

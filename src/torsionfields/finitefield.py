@@ -4,13 +4,29 @@ Polynomials cross every interface as numpy int64 coefficient vectors (lowest
 degree first, reduced mod p).  All products modulo a polynomial go through one
 kernel, ``ModRing``, on int64: a convolution, a ``% p``, and a contraction of
 the high half against the precomputed rows x^{n+i} mod g.  Every dot product
-it forms has at most n terms below p, so it stays exact while
-n (p - 1)^2 < 2^63; ``ModRing`` refuses larger moduli, and
-``torsion.torsion_data`` refuses q above the bound for n = 84, the degree of
-its largest modulus (q <= 331363921).  The Euclid layer (``poly_divmod``,
-``poly_mod``, ``poly_gcd``) runs on Python-int lists inside the same interface,
-converting once each way: it takes one leading coefficient at a time, where
-numpy's cost per call outweighs its arithmetic, and needs no overflow bound.
+it forms has at most n terms below (p - 1)^2, plus one reduced term, so it
+stays exact while n (p - 1)^2 + p - 1 < 2^63; ``ModRing`` refuses larger
+moduli, and ``torsion.torsion_data`` refuses q above the bound for n = 84,
+the degree of its largest modulus (q <= 331363921).
+
+A product in a quadratic lift F_p[x]/(g)(Y), Y^2 = t, is one kernel call,
+``ModRing.quad_mul``: a Kronecker substitution (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, sec. 8.4) packs a + bY as [a | 0^{n-1} | b], so
+two convolutions give ac, bc, ad and bd side by side without overlap, and
+one ``% p`` and one contraction against the rows reduce all four.  The
+product t bd is a matrix-vector product by the precomputed matrix of
+h -> t h, n terms below (p - 1)^2, to which ac adds the one reduced term.
+
+Square tests descend by norms instead of raising to (q - 1)/2: a + bY is a
+square iff its norm a^2 - t b^2 is a square in the base, and an element of
+F_{p^n} iff its norm to F_p is, which the Itoh-Tsujii chain of the inverse
+computes (Itoh & Tsujii, *Inf. Comput.* 78, 1988).  A square root then costs
+one exponentiation, not two.
+
+The Euclid layer (``poly_divmod``, ``poly_mod``, ``poly_gcd``) runs on
+Python-int lists inside the same interface, converting once each way: it
+takes one leading coefficient at a time, where numpy's cost per call
+outweighs its arithmetic, and needs no overflow bound.
 
 Factoring reads every power x^{p^d} off one Frobenius matrix (von zur Gathen &
 Shoup, *Comput. Complexity* 2, 1992).  ``distinct_degree_blocks`` takes one gcd
@@ -179,15 +195,16 @@ class ModRing:
 
     A product is a convolution reduced mod p whose high half is contracted
     against the rows x^{n+i} mod g (i < n - 1), then reduced again: every dot
-    product has at most n terms below (p - 1)^2 (von zur Gathen & Gerhard,
-    *Modern Computer Algebra*, ch. 8).
+    product has at most n terms below (p - 1)^2, plus one reduced term (von
+    zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 8).
     """
 
     def __init__(self, g: np.ndarray, p: int):
         n = poly_deg(g)
-        if n * (p - 1) ** 2 >= 2**63:
+        if n * (p - 1) ** 2 + p > 2**63:
             raise OverflowError(f"F_{p}[x] modulo degree {n} overflows int64")
         self.g, self.p, self.n = g, p, n
+        self._gap = np.zeros(max(n - 1, 0), dtype=np.int64)
         self.rows = np.zeros((max(n - 1, 0), n), dtype=np.int64)
         top = (-g[:n]) % p  # x^n mod g
         cur = top
@@ -206,6 +223,23 @@ class ModRing:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         c = np.convolve(a, b) % self.p
         return (c[: self.n] + c[self.n :] @ self.rows) % self.p
+
+    def times_matrix(self, t: np.ndarray) -> np.ndarray:
+        """The n x n matrix of h -> t h mod g: column j is t x^j mod g."""
+        return np.array([self.mul(t, e) for e in np.eye(self.n, dtype=np.int64)]).T
+
+    def quad_mul(self, a, b, c, d, tmat: np.ndarray):
+        """(ac + t bd, ad + bc): the product (a + bY)(c + dY) with Y^2 = t.
+
+        All four are length-n residues and tmat is ``times_matrix(t)``.  The
+        n - 1 zeros between a and b keep the segments ac, bc of u c and ad,
+        bd of u d apart, so each coefficient is a sum of at most n products.
+        """
+        n, p = self.n, self.p
+        u = np.concatenate((a, self._gap, b))
+        prods = np.concatenate((np.convolve(u, c), np.convolve(u, d))).reshape(4, 2 * n - 1) % p
+        ac, bc, ad, bd = (prods[:, :n] + prods[:, n:] @ self.rows) % p
+        return (ac + tmat @ bd) % p, (ad + bc) % p
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         """a^e mod g, trimmed."""
@@ -431,6 +465,16 @@ class PrimeField:
     def sqrt(self, a: "PrimeFieldElement"):
         return ts_sqrt(self, a)
 
+    def quadratic_product(self, t: "PrimeFieldElement"):
+        """(a, b, c, d) -> the coordinates of (a + bY)(c + dY), Y^2 = t."""
+        p, tv = self.p, t.v
+
+        def mul(a, b, c, d):
+            return (PrimeFieldElement(self, (a.v * c.v + tv * b.v * d.v) % p),
+                    PrimeFieldElement(self, (a.v * d.v + b.v * c.v) % p))
+
+        return mul
+
     def frobenius_power(self, a, k: int):
         return a
 
@@ -500,7 +544,8 @@ class ExtField:
     Multiplication is the ``ModRing`` kernel; the p-power Frobenius is a
     precomputed n x n matrix so that subfield membership questions are single
     mat-vec products.  Inversion is Itoh-Tsujii on the same matrices (at
-    most 2 log2 n products and as many mat-vecs).  g must be irreducible;
+    most 2 log2 n products and as many mat-vecs), and so is the norm to F_p
+    that square tests read.  g must be irreducible;
     ``check_irreducible`` makes sure of it, and without it a reducible g
     still never yields a wrong inverse: an element whose norm is not a
     nonzero constant raises ZeroDivisionError.
@@ -547,13 +592,12 @@ class ExtField:
 
     # -- arithmetic kernels -------------------------------------------------
 
-    def _inv(self, a: np.ndarray) -> np.ndarray:
-        """a^{-1} = a^{r-1} / N(a) with r = (p^n - 1)/(p - 1) (Itoh-Tsujii).
+    def _norm_chain(self, a: np.ndarray):
+        """(a^{r-1}, N(a)) with r = (p^n - 1)/(p - 1) (Itoh-Tsujii).
 
         u_k = a^{1 + p + ... + p^{k-1}} follows the binary digits of n - 1:
         u_{2k} = u_k Frob^k(u_k) and u_{k+1} = Frob(u_k) a.  Then a^{r-1} =
-        Frob(u_{n-1}) and N(a) = a^{r-1} a.  A nonzero constant N proves
-        a^{r-1} / N an inverse in any ring, so anything else raises.
+        Frob(u_{n-1}) and N(a) = a^{r-1} a, a constant when g is irreducible.
         """
         p, mul, frob = self.p, self._ring.mul, self.frobenius_power_matrix
         u, k = a, 1
@@ -562,10 +606,22 @@ class ExtField:
             if bit == "1":
                 u, k = mul(frob(1) @ u % p, a), k + 1
         b = frob(1) @ u % p
-        norm = mul(b, a)
+        return b, mul(b, a)
+
+    def norm(self, a: "ExtFieldElement") -> int:
+        """N(a) = a^{(p^n - 1)/(p - 1)}, an integer mod p."""
+        norm = self._norm_chain(a.c)[1]
+        if norm[1:].any():
+            raise ArithmeticError("the modulus is reducible")
+        return int(norm[0])
+
+    def _inv(self, a: np.ndarray) -> np.ndarray:
+        """a^{-1} = a^{r-1} / N(a).  A nonzero constant N proves a^{r-1} / N
+        an inverse in any ring, so anything else raises."""
+        b, norm = self._norm_chain(a)
         if not norm[0] or norm[1:].any():
             raise ZeroDivisionError("element not invertible")
-        return b * pow(int(norm[0]), p - 2, p) % p
+        return b * pow(int(norm[0]), self.p - 2, self.p) % self.p
 
     # -- Frobenius ----------------------------------------------------------
 
@@ -604,6 +660,17 @@ class ExtField:
 
     def sqrt(self, a: "ExtFieldElement"):
         return ts_sqrt(self, a)
+
+    def quadratic_product(self, t: "ExtFieldElement"):
+        """(a, b, c, d) -> the coordinates of (a + bY)(c + dY), Y^2 = t, by
+        one ``ModRing.quad_mul`` call."""
+        ring, tmat = self._ring, self._ring.times_matrix(t.c)
+
+        def mul(a, b, c, d):
+            e, f = ring.quad_mul(a.c, b.c, c.c, d.c, tmat)
+            return ExtFieldElement(self, e), ExtFieldElement(self, f)
+
+        return mul
 
     def __eq__(self, other):
         return (
@@ -658,7 +725,7 @@ class ExtFieldElement:
         return hash(self.encode())
 
     def encode(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.c)
+        return tuple(self.c.tolist())
 
     def __repr__(self):
         return "poly" + str(self.encode())
@@ -672,8 +739,12 @@ class QuadExt:
     """F(Y)/(Y^2 - t) over a PrimeField or ExtField base, t a nonsquare.
 
     Used when a torsion point's ordinate generates a quadratic extension of
-    the field of its abscissa.  Frobenius acts componentwise twisted by
-    s_k = Y^{p^k - 1} = t^{(p^k - 1)/2}, computed iteratively.
+    the field of its abscissa.  Products, the norm a^2 - t b^2 and inverses
+    go through the base's ``quadratic_product(t)``, asked for once: the
+    integer formula over F_p, one ``ModRing.quad_mul`` call over F_{p^n}.
+    An element is a square iff its norm is a square in the base.  Frobenius
+    acts componentwise twisted by s_k = Y^{p^k - 1} = t^{(p^k - 1)/2},
+    computed iteratively.
     """
 
     def __init__(self, base, t):
@@ -681,6 +752,7 @@ class QuadExt:
         self.t = t
         self.p = base.p
         self.degree = 2 * base.degree
+        self._mul = base.quadratic_product(t)
         self._s: dict[int, object] = {0: base.one()}
 
     def elt(self, a, b) -> "QuadExtElement":
@@ -735,6 +807,10 @@ class QuadExt:
             return False
         return self.base.frobenius_power(x.b, k) * self._s_k(k) == x.b
 
+    def norm(self, x: "QuadExtElement"):
+        """N(x) = (a + bY)(a - bY) = a^2 - t b^2, in the base."""
+        return self._mul(x.a, x.b, x.a, -x.b)[0]
+
     def sqrt(self, x: "QuadExtElement"):
         """Square root by descent to the base field; None if x is nonsquare.
 
@@ -756,7 +832,7 @@ class QuadExt:
             if r is None:
                 raise ArithmeticError("the adjoined element is a square in the base")
             return _canonical_root(self.elt(base.zero(), r))
-        w = base.sqrt(a * a - b * b * self.t)
+        w = base.sqrt(self.norm(x))
         if w is None:
             return None
         half = base.one() / base.from_int(2)
@@ -798,14 +874,10 @@ class QuadExtElement:
         return QuadExtElement(self.field, -self.a, -self.b)
 
     def __mul__(self, other):
-        t = self.field.t
-        a = self.a * other.a + (self.b * other.b) * t
-        b = self.a * other.b + self.b * other.a
-        return QuadExtElement(self.field, a, b)
+        return QuadExtElement(self.field, *self.field._mul(self.a, self.b, other.a, other.b))
 
     def inverse(self):
-        n = self.a * self.a - (self.b * self.b) * self.field.t
-        ninv = n.inverse()
+        ninv = self.field.norm(self).inverse()
         return QuadExtElement(self.field, self.a * ninv, -(self.b * ninv))
 
     def __truediv__(self, other):
@@ -847,11 +919,17 @@ def pow_elt(x, e: int):
 
 
 def is_square_elt(x) -> bool:
-    """Euler criterion in the multiplicative group of x's field."""
+    """Is x a square in its field?  By norms down to F_p, then Euler.
+
+    x^{(q^2 - 1)/2} = N(x)^{(q - 1)/2} for the norm of a quadratic lift of
+    F_q, and x^{(p^n - 1)/2} = N(x)^{(p - 1)/2} for the norm of F_{p^n}."""
     if not x:
         return True
-    q = x.field.order()
-    return pow_elt(x, (q - 1) // 2) == x.field.one()
+    if isinstance(x, QuadExtElement):
+        return is_square_elt(x.field.norm(x))
+    p = x.field.p
+    v = x.field.norm(x) if isinstance(x, ExtFieldElement) else x.v
+    return pow(v, (p - 1) // 2, p) == 1
 
 
 def ts_sqrt(field, a):

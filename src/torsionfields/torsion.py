@@ -263,12 +263,6 @@ def _primitive_x_poly(D: DivisionPolynomials, m: int) -> np.ndarray:
     return xp
 
 
-def _exact_order(E: EllipticCurve, P, m: int) -> bool:
-    if E.mul(P, m) is not None:
-        return False
-    return all(E.mul(P, m // ell) is not None for ell in factor_int(m))
-
-
 def _group_order_over_ext(q: int, A: int, B: int, n: int) -> int:
     """|E(F_{q^n})| from |E(F_q)| via the Frobenius trace recurrence."""
     aq = q + 1 - count_points_prime(q, A, B)
@@ -292,10 +286,14 @@ def _ell_chain(E: EllipticCurve, Q, ell: int) -> list:
 
 
 def _multiples(E: EllipticCurve, P, m: int) -> list:
-    """[O, P, 2P, ..., (m-1)P]: chords up to m/2, then (m-i)P = -(iP)."""
+    """[O, P, 2P, ..., (m-1)P]: chords up to m/2, then (m-i)P = -(iP).
+
+    Raises when iP = O for some 0 < i <= m/2: P has no order m then."""
     mults = [None, P]
     for _ in range(2, m // 2 + 1):
         mults.append(E.add(mults[-1], P))
+    if None in mults[1:]:
+        raise TorsionConstructionError(f"a point of order below {m}")
     return mults + [E.neg(mults[m - i]) for i in range(len(mults), m)]
 
 
@@ -424,7 +422,14 @@ def _build_table(E: EllipticCurve, P1, P2, m: int):
 def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2) -> TorsionData:
     """Table, Frobenius matrix and pairing root, checked in the basis (P1, P2)
     and rebased to the canonical one: the first point of order m in the
-    sorted table and the first point after it that completes a basis."""
+    sorted table and the first point after it that completes a basis.
+
+    The checks prove that P1 and P2 have exact order m.  The Miller loops of
+    the pairing raise unless m P1 = m P2 = O.  If (m/l) P1 = O for a prime
+    l | m, then e_m(P1, P2)^{m/l} = e_m((m/l) P1, P2) = 1, and the pairing
+    root is not primitive; likewise for P2.  The table's multiples raise
+    sooner, since m/l <= m/2.
+    """
     table = _build_table(E, P1, P2, m)
     enc = {key: _encode_point(pt) for key, pt in table.items()}
     decomp = {code: key for key, code in enc.items()}
@@ -532,10 +537,7 @@ def _construct_via_division_poly(q, A, B, m, rng):
         y1 = F.sqrt(E.f(x1))
         if y1 is None:
             raise TorsionConstructionError("Euler criterion promised a square")
-    P1 = (x1, y1)
-    if not _exact_order(E, P1, m):
-        raise TorsionConstructionError("primitive factor produced a non-exact point")
-    return E, n, P1
+    return E, n, (x1, y1)
 
 
 def torsion_data(q: int, A: int, B: int, m: int) -> TorsionData:

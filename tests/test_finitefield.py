@@ -41,7 +41,13 @@ from torsionfields.finitefield import (
 )
 from torsionfields.torsion import MAX_Q, torsion_data
 
-from polyhelpers import find_irreducible, is_square_mod, poly_eval
+from polyhelpers import (
+    find_irreducible,
+    is_square_euler,
+    is_square_mod,
+    poly_eval,
+    quad_mul_reference,
+)
 
 _X = np.array([0, 1], dtype=np.int64)
 
@@ -533,6 +539,102 @@ def test_inverse_modulo_a_reducible_polynomial_is_never_wrong():
             continue
         assert unit and a * b == R.one()
     assert zero_divisors == 4 + 24  # nonzero multiples of x^2 + 2 and of x + 1
+
+
+# ---------------------------------------------------------------------------
+# quadratic lifts: one kernel call per product, square tests by norm
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _quad_case(draw):
+    """(p, g, a, b, c, d, t): a monic g of degree n and five residues."""
+    p = draw(_PRIMES)
+    n = draw(st.integers(1, 84))
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return (p, draw(vec) + [1], *(draw(vec) for _ in range(5)))
+
+
+_WORST = [_TOP_PRIME - 1] * 84
+
+
+@settings(max_examples=30, deadline=None)
+@given(_quad_case())
+@example((_TOP_PRIME, _WORST + [1], _WORST, _WORST, _WORST, _WORST, _WORST))
+def test_quad_mul_matches_schoolbook(case):
+    # every coefficient p - 1 at the top prime and degree 84 is the int64
+    # worst case: n (p - 1)^2 plus one reduced term
+    p, g, a, b, c, d, t = case
+    n = len(g) - 1
+    ring = ModRing(_arr(g), p)
+
+    def mulmod(x, y):
+        return _padded(_ref_divmod(_ref_mul(x, y, p), g, p)[1], n)
+
+    def add(x, y):
+        return [(u + v) % p for u, v in zip(x, y)]
+
+    got = ring.quad_mul(*map(_arr, (a, b, c, d)), ring.times_matrix(_arr(t)))
+    want = add(mulmod(a, c), mulmod(t, mulmod(b, d))), add(mulmod(a, d), mulmod(b, c))
+    assert tuple(x.tolist() for x in got) == want
+
+
+def _irreducible(p, n, seed):
+    rng = random.Random(seed)
+    while True:
+        g = _arr([rng.randrange(p) for _ in range(n)] + [1])
+        if poly_is_irreducible(g, p):
+            return g
+
+
+def _base_field(p, n):
+    return PrimeField(p) if n == 1 else ExtField(p, _irreducible(p, n, seed=n))
+
+
+def _nonsquare(F, rng):
+    while True:
+        t = F.nth_element(rng.randrange(1, F.order()))
+        if not is_square_euler(t):
+            return t
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (_TOP_PRIME, 1), (5, 2), (13, 4), (101, 28),
+                                  (37, 55), (109, 84)])
+def test_quad_ext_products_inverses_and_norms(p, n):
+    # against the five base products a c + t b d, a d + b c
+    F = _base_field(p, n)
+    rng = random.Random(p + n)
+    t = _nonsquare(F, rng)
+    Q = QuadExt(F, t)
+    draws = [F.nth_element(rng.randrange(1, F.order())) for _ in range(8)] + [F.zero()]
+    for i in range(4):
+        x, y = Q.elt(draws[2 * i], draws[2 * i + 1]), Q.elt(draws[8 - i], draws[i])
+        xy = x * y
+        assert (xy.a, xy.b) == quad_mul_reference(t, x.a, x.b, y.a, y.b)
+        norm = quad_mul_reference(t, x.a, x.b, x.a, -x.b)[0]
+        assert Q.norm(x) == norm
+        ninv = norm.inverse()
+        inv = x.inverse()
+        assert (inv.a, inv.b) == (x.a * ninv, -(x.b * ninv))
+        assert x * inv == Q.one()
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (_TOP_PRIME, 1), (5, 2), (13, 3), (1000003, 4),
+                                  (_TOP_PRIME, 7), (37, 12)])
+def test_is_square_elt_is_the_euler_criterion(p, n):
+    # on F, on F(sqrt t), and, for F = F_{p^n}, its norm against the Fermat power
+    rng = random.Random(p * n)
+    F = _base_field(p, n)
+    Q = QuadExt(F, _nonsquare(F, rng))
+    for field in (F, Q):
+        seen = set()
+        for _ in range(12):
+            x = field.nth_element(rng.randrange(1, field.order()))
+            seen.add(is_square_elt(x))
+            assert is_square_elt(x) == is_square_euler(x)
+            if isinstance(field, ExtField):
+                assert F.elt([F.norm(x)]) == pow_elt(x, (F.order() - 1) // (p - 1))
+        assert seen == {True, False}
+        assert is_square_elt(field.zero())
 
 
 # ---------------------------------------------------------------------------

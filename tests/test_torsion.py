@@ -24,6 +24,7 @@ from torsionfields.torsion import (
     MAX_Q,
     TorsionConstructionError,
     _construct_via_division_poly,
+    _finalize,
     _group_order_over_ext,
     _independent,
     _primitive_x_poly,
@@ -32,7 +33,7 @@ from torsionfields.torsion import (
     weil_pairing,
 )
 
-from polyhelpers import is_square_mod
+from polyhelpers import is_square_mod, x_of_double
 
 # a small spread of instances touching every field shape; (q, A, B, m)
 SPREAD = [
@@ -206,6 +207,18 @@ def test_basis_has_exact_order():
             assert E.mul(P, m) is None
             for ell in {p for p in (2, 3, 5, 7, 11, 13) if m % p == 0}:
                 assert E.mul(P, m // ell) is not None
+
+
+@pytest.mark.parametrize("q, A, B, m, ell", [
+    (13, 1, 1, 4, 2), (23, 1, 7, 5, 5), (7, 1, 3, 9, 3), (7, 2, 3, 12, 2), (7, 2, 3, 12, 3),
+])
+def test_finalize_rejects_a_basis_point_of_lower_order(q, A, B, m, ell):
+    # a basis point of order m/l must fail the checks of _finalize
+    td = _data(q, A, B, m)
+    E = td.curve
+    for P1, P2 in ((E.mul(td.P1, ell), td.P2), (td.P1, E.mul(td.P2, ell))):
+        with pytest.raises(TorsionConstructionError):
+            _finalize(q, A, B, m, td.n, E, P1, P2)
 
 
 def test_zeta_field_degree_matches_cyclotomic_order():
@@ -416,7 +429,7 @@ def test_x_of_double_consistent_with_table():
     E = td.curve
     for i, j in [(1, 0), (1, 1), (2, 3)]:
         P = td.point(i, j)
-        assert E.x_of_double(P[0]) == td.point(2 * i, 2 * j)[0]
+        assert x_of_double(E, P[0]) == td.point(2 * i, 2 * j)[0]
 
 
 def test_thirteen_torsion_heavyweight():
