@@ -656,7 +656,7 @@ class ExtField:
         if k % self.degree == 0:
             return True
         m = self.frobenius_power_matrix(k)
-        return bool(np.array_equal((m @ a.c) % self.p, a.c))
+        return ((m @ a.c) % self.p).tobytes() == a.c.tobytes()
 
     def sqrt(self, a: "ExtFieldElement"):
         return ts_sqrt(self, a)
@@ -687,6 +687,8 @@ class ExtField:
 
 
 class ExtFieldElement:
+    """c is the length-n int64 residue, so equal elements have equal bytes."""
+
     __slots__ = ("field", "c")
 
     def __init__(self, field: ExtField, c: np.ndarray):
@@ -715,7 +717,7 @@ class ExtFieldElement:
         return (
             isinstance(other, ExtFieldElement)
             and self.field.p == other.field.p
-            and np.array_equal(self.c, other.c)
+            and self.c.tobytes() == other.c.tobytes()
         )
 
     def __bool__(self):

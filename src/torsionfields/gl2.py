@@ -299,13 +299,8 @@ def subgroup_catalog(m: int) -> tuple:
                 return members
 
     def canonical(members: np.ndarray) -> bytes:
-        best = None
-        for g in range(k):
-            img = np.sort(conj[g][members])
-            key = img.tobytes()
-            if best is None or key < best:
-                best = key
-        return best
+        # the least sorted image over all conjugates, one sort for all of them
+        return min(row.tobytes() for row in np.sort(conj[:, members], axis=1))
 
     seen = {}
     start = np.array([id_idx], dtype=np.int64)

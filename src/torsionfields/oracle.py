@@ -1,12 +1,12 @@
 """Degree estimation for torsion fields from reduction data alone.
 
 Everything here looks at a curve over Q only through its reductions mod
-good primes ell: the trace of Frobenius, and how the torsion abscissa
-polynomials factor over F_ell.  That is enough to recover, prime by
-prime, the order n_ell of Frobenius acting on the m-torsion — without
-ever building the torsion field of the reduction — and from the stream
-of those local fingerprints to estimate the degree of the m-th torsion
-field of the original curve.
+good primes ell: the trace of Frobenius, and, where the trace leaves a
+choice, how the torsion abscissa polynomial factors over F_ell.  That is
+enough to recover, prime by prime, the order n_ell of Frobenius acting on
+the m-torsion — without ever building the torsion field of the reduction —
+and from the stream of those local fingerprints to estimate the degree of
+the m-th torsion field of the original curve.
 
 Three estimation regimes, picked by m:
 
@@ -21,18 +21,32 @@ Three estimation regimes, picked by m:
 * anything else: the lcm of the observed Frobenius orders, which is a
   lower bound (it divides the image's exponent) and is reported as such.
 
-The per-prime order n_ell comes from a field-of-definition count: an
+A fingerprint is ``matrix_fingerprint`` of the Frobenius matrix on E[m],
+and the reduction fixes most of that matrix's class.  On E[m] Frobenius
+has trace a_ell and determinant ell mod m; for even m its action on E[2]
+is read off the factor degrees of the curve cubic, which need no
+factoring: the cubic has a root iff |E(F_ell)| is even, and then splits
+completely iff its discriminant -4A^3 - 27B^2 is a square (Stickelberger).
+For prime m, (trace, det) fix the GL2(F_m) class except at a repeated
+eigenvalue lambda = a/2, where Frobenius is lambda*I or a Jordan block
+(Duke & Toth, Experiment. Math. 11, 2002; Sutherland, Forum Math. Sigma
+4, 2016).  It is lambda*I iff x^{ell^k} = x modulo the m-division
+polynomial, k the order of lambda in F_m^x/{+-1}: (lambda*I)^k = +-I fixes
+every abscissa, while a Jordan block to the k-th power, k < m, moves one.
+
+Where the key (trace, det, cubic degrees) still leaves a choice — for
+m = 4 when Frobenius is the identity on E[2], and for m in {6, 8, 9, 10,
+12} always — the fingerprint comes from a field-of-definition count: an
 irreducible degree-d factor g of the abscissa polynomial carries 2d
 torsion vectors; Frobenius^d fixes each abscissa, and fixes the points
-themselves exactly when the curve cubic is a square in F_ell[x]/(g).
-So each factor contributes orbits of size d, d (square) or 2d (not), the
+themselves exactly when the curve cubic is a square in F_ell[x]/(g).  So
+each factor contributes orbits of size d, d (square) or 2d (not), the
 2-torsion cubic contributes its own factor degrees, and n_ell is the lcm
-of all orbit sizes.
-
-The factors themselves are never computed.  The distinct-degree blocks
-P_d of the abscissa polynomial (P_d the product of its degree-d factors)
-give the factor degrees, and each block counts its square factors as
-deg gcd(P_d, f^{(ell^d - 1)/2} - 1) / d, with f the curve cubic.
+of all orbit sizes.  The factors themselves are never computed: the
+distinct-degree blocks P_d of the abscissa polynomial (P_d the product of
+its degree-d factors) give the factor degrees, and each block counts its
+square factors as deg gcd(P_d, f^{(ell^d - 1)/2} - 1) / d, with f the
+curve cubic.
 """
 
 from __future__ import annotations
@@ -43,11 +57,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .curve import DivisionPolynomials, count_points_prime, discriminant
-from .finitefield import distinct_degree_blocks, is_prime, poly_deg
+from .finitefield import ModRing, distinct_degree_blocks, is_prime, poly_deg
 from .gl2 import (
     ALL_WITNESSES,
     gl2_order,
+    legendre,
     mat_det,
     mat_order,
     mat_trace,
@@ -98,42 +115,103 @@ def frobenius_fingerprint(ell: int, A: Fraction, B: Fraction, m: int):
     The fingerprint is (a mod m, ell mod m, n_ell, sorted factor degrees of
     the exact-order abscissa polynomial, sorted torsion-vector orbit sizes,
     sorted 2-torsion cubic factor degrees), with empty tuples for the parts
-    that do not apply (no abscissa part for m = 2, no cubic part for odd m).
+    that do not apply (no abscissa part for m = 2, no cubic part for odd m):
+    ``matrix_fingerprint`` of the Frobenius matrix on E[m].  It is looked up
+    by (a mod m, ell mod m, cubic degrees); the division polynomial is read
+    only when that key leaves a choice (see the module docstring).
     """
     a_red, b_red = _mod(A, ell), _mod(B, ell)
     n_pts = count_points_prime(ell, a_red, b_red)
     a = ell + 1 - n_pts
+    cub = _cubic_degrees(ell, a_red, b_red, n_pts) if m % 2 == 0 else ()
 
+    fps = _key_fingerprints(m, a % m, ell % m, cub)
+    if len(fps) == 1:
+        fp = fps[0]
+    elif len(fps) == 2 and is_prime(m):
+        # a repeated eigenvalue: lambda*I has order prime to m, a Jordan block not
+        scalar = _frobenius_is_scalar(ell, a_red, b_red, m, a)
+        fp = next(f for f in fps if (f[2] % m != 0) == scalar)
+    else:
+        fp = _block_fingerprint(ell, a_red, b_red, m, a, cub)
+    return a, fp[2], fp
+
+
+def _cubic_degrees(ell: int, a_red: int, b_red: int, n_pts: int) -> tuple[int, ...]:
+    """Factor degrees of x^3 + Ax + B over F_ell, ascending: it has a root iff
+    |E(F_ell)| is even, and then three iff its discriminant is a square (a
+    squarefree polynomial of degree n with r irreducible factors has square
+    discriminant iff n - r is even: Stickelberger)."""
+    if n_pts % 2:
+        return (3,)
+    if legendre(-4 * a_red**3 - 27 * b_red**2, ell) == 1:
+        return (1, 1, 1)
+    return (1, 2)
+
+
+def _key_fingerprints(m: int, tr: int, det: int, cub: tuple[int, ...]) -> tuple:
+    """Every fingerprint of a matrix in GL2(Z/m) with this trace, determinant
+    and action on E[2]; empty where no table is kept."""
+    if m in CATALOG_MODULI:
+        return _catalog_table(m).get((tr, det, cub), ())
+    if is_prime(m):
+        return _companion_fingerprints(m, tr, det)
+    return ()
+
+
+@lru_cache(maxsize=None)
+def _catalog_table(m: int) -> dict:
+    """The full group's fingerprints by (trace, det, cubic degrees)."""
+    full = next(mult for order, mult in _catalog_fingerprints(m) if order == gl2_order(m))
+    table: dict = {}
+    for fp in sorted(full):
+        key = (fp[0], fp[1], fp[5])
+        table[key] = table.get(key, ()) + (fp,)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _companion_fingerprints(m: int, tr: int, det: int) -> tuple:
+    """For prime m: the companion matrix of T^2 - tr T + det is conjugate to
+    every matrix with that characteristic polynomial except lambda*I at a
+    repeated eigenvalue lambda = tr/2 (where it is the Jordan block)."""
+    fps = {matrix_fingerprint((0, -det % m, 1, tr), m)}
+    if (tr * tr - 4 * det) % m == 0:
+        lam = tr * (m + 1) // 2 % m
+        fps.add(matrix_fingerprint((lam, 0, 0, lam), m))
+    return tuple(sorted(fps))
+
+
+def _frobenius_is_scalar(ell: int, a_red: int, b_red: int, m: int, a: int) -> bool:
+    """Is Frobenius lambda*I on E[m], lambda = a/2 and m an odd prime?  Iff
+    x^{ell^k} = x modulo the m-division polynomial, k the order of lambda in
+    F_m^x/{+-1}."""
+    lam = a * (m + 1) // 2 % m
+    k, lam_k = 1, lam
+    while lam_k not in (1, m - 1):
+        k, lam_k = k + 1, lam_k * lam % m
+    poly, _ = DivisionPolynomials(ell, a_red, b_red).torsion_x_polynomial(m)
+    ring = ModRing(poly, ell)
+    h = np.array([0, 1], dtype=np.int64)
+    for _ in range(k):
+        h = ring.pow(h, ell)
+    return h.tolist() == [0, 1]
+
+
+def _block_fingerprint(ell: int, a_red: int, b_red: int, m: int, a: int,
+                       cub: tuple[int, ...]):
+    """The fingerprint by the field-of-definition count over the
+    distinct-degree blocks of the abscissa polynomial, for m >= 3."""
     dp = DivisionPolynomials(ell, a_red, b_red)
-    poly, has_two_part = dp.torsion_x_polynomial(m)
-
+    poly, _ = dp.torsion_x_polynomial(m)
     main_degs: list[int] = []
     vec_degs: list[int] = []
-    if m == 2:
-        cubic = poly
-    else:
-        cubic = dp.curve_poly if has_two_part else None
-        for d, part, squares in distinct_degree_blocks(poly, ell, dp.curve_poly):
-            count, on_squares = poly_deg(part) // d, poly_deg(squares) // d
-            main_degs.extend([d] * count)
-            vec_degs.extend([d] * (2 * on_squares) + [2 * d] * (count - on_squares))
-
-    cub_degs: tuple[int, ...] = ()
-    if cubic is not None:
-        cub_degs = tuple(
-            d
-            for d, part, _ in distinct_degree_blocks(cubic, ell)
-            for _ in range(poly_deg(part) // d)
-        )
-
-    n = 1
-    for d in vec_degs:
-        n = math.lcm(n, d)
-    for d in cub_degs:
-        n = math.lcm(n, d)
-
-    fp = (a % m, ell % m, n, tuple(sorted(main_degs)), tuple(sorted(vec_degs)), cub_degs)
-    return a, n, fp
+    for d, part, squares in distinct_degree_blocks(poly, ell, dp.curve_poly):
+        count, on_squares = poly_deg(part) // d, poly_deg(squares) // d
+        main_degs.extend([d] * count)
+        vec_degs.extend([d] * (2 * on_squares) + [2 * d] * (count - on_squares))
+    n = math.lcm(1, *vec_degs, *cub)
+    return (a % m, ell % m, n, tuple(sorted(main_degs)), tuple(sorted(vec_degs)), cub)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +287,22 @@ def _catalog_fingerprints(m: int):
     )
 
 
-def _catalog_estimate(m: int, observed: Counter) -> int:
+@lru_cache(maxsize=None)
+def _catalog_log_terms(m: int):
+    """Per catalog class: (order, {fingerprint: log(multiplicity) - log(order)})."""
+    return tuple(
+        (order, {fp: math.log(k) - math.log(order) for fp, k in mult.items()})
+        for order, mult in _catalog_fingerprints(m)
+    )
+
+
+def _catalog_estimate(classes, observed: Counter) -> int:
+    """The order of the class of best likelihood, the smaller on a tie, among
+    `classes`: the entries of ``_catalog_log_terms`` whose support holds
+    every observed fingerprint."""
     best = None
-    for order, mult in _catalog_fingerprints(m):
-        if any(fp not in mult for fp in observed):
-            continue
-        loglik = sum(
-            cnt * (math.log(mult[fp]) - math.log(order))
-            for fp, cnt in observed.items()
-        )
+    for order, terms in classes:
+        loglik = sum(cnt * terms[fp] for fp, cnt in observed.items())
         key = (-loglik, order)
         if best is None or key < best:
             best = key
@@ -297,6 +382,7 @@ def chebotarev_degree(
     use_heuristic = m in HEURISTIC_MODULI
 
     observed: Counter = Counter()
+    classes = _catalog_log_terms(m) if use_catalog else ()
     witnesses = 0  # surjectivity_heuristic's witnesses, one sample at a time
     primes: list[int] = []
     orders: list[int] = []
@@ -316,7 +402,8 @@ def chebotarev_degree(
 
         if use_catalog:
             observed[fp] += 1
-            estimate = _catalog_estimate(m, observed)
+            classes = [c for c in classes if fp in c[1]]
+            estimate = _catalog_estimate(classes, observed)
             method = "catalog"
         elif use_heuristic:
             witnesses |= surjectivity_witnesses(a, ell, m)

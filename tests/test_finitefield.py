@@ -198,6 +198,29 @@ def test_ext_field_fixed_by_detects_prime_subfield(f5_2):
     assert not F.fixed_by(F.gen(), 3)
 
 
+def test_ext_field_elements_compare_by_their_int64_residues():
+    # == and fixed_by compare bytes, so every operation must hand back a
+    # length-n int64 residue; equality is then np.array_equal on all pairs
+    F = ExtField(7, find_irreducible(7, 4))
+    rng = random.Random(3)
+    elts = [F.nth_element(rng.randrange(F.order())) for _ in range(12)]
+    elts += [F.zero(), F.one(), F.gen(), F.from_int(-1)]
+    made = []
+    for a, b in zip(elts, elts[1:] + elts[:1]):
+        made += [a + b, a - b, -a, a * b, F.frobenius_power(a, 1), F.sqrt(a * a)]
+        made += list(F.quadratic_product(F.gen())(a, b, b, a))
+        if a:
+            made += [a.inverse(), a / a]
+    for e in elts + made:
+        assert e.c.dtype == np.int64 and e.c.shape == (4,)
+    for a in elts + made:
+        for b in elts + made:
+            assert (a == b) == np.array_equal(a.c, b.c)
+        for k in range(4):
+            assert F.fixed_by(a, k) == np.array_equal(F.frobenius_power(a, k).c, a.c)
+    assert F.one() == F.gen() * F.gen().inverse()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 13 ** 3 - 1), st.integers(0, 13 ** 3 - 1), st.integers(0, 13 ** 3 - 1))
 def test_ext_field_ring_axioms(i, j, k):

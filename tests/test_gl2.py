@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import gcd
 
@@ -201,6 +202,25 @@ def test_subgroup_catalog_mod4():
     assert sizes[0] == 2
     assert sizes[-1] == 96
     assert 32 in sizes  # index-3 subgroups exist at level 4
+
+
+# the catalog's orders, and sha256 of repr([sorted(sub) for _, sub in catalog])
+CATALOG_PINS = {
+    3: ([2, 4, 6, 6, 8, 8, 12, 16, 48],
+        "0c895a38900bbf5205f5dfbcb5d4ffe195be02009a4f6c4110117693846060cd"),
+    4: ([2] * 3 + [4] * 11 + [6] * 2 + [8] * 12 + [12] * 2 + [16] * 6 + [24] * 3
+        + [32, 48, 48, 96],
+        "f333e541ea4748fbc0037d7ff393e49cd4379eb4bba691199d5747ab74323bd3"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(CATALOG_PINS))
+def test_subgroup_catalog_pinned(m):
+    catalog = subgroup_catalog(m)
+    orders, digest = CATALOG_PINS[m]
+    assert [order for order, _ in catalog] == orders
+    blob = repr([sorted(sub) for _, sub in catalog]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_input_checks_raise_value_error():

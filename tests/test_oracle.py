@@ -10,17 +10,31 @@ import functools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionfields.classify3 import classify3
 from torsionfields.classify4 import classify4
-from torsionfields.curve import DivisionPolynomials, discriminant
-from torsionfields.finitefield import factor_squarefree, poly_deg, poly_roots
-from torsionfields.gl2 import gl2_order, surjectivity_heuristic, surjectivity_witnesses
+from torsionfields.curve import DivisionPolynomials, count_points_prime, discriminant
+from torsionfields.finitefield import (
+    distinct_degree_blocks,
+    factor_squarefree,
+    is_prime,
+    poly_deg,
+    poly_roots,
+)
+from torsionfields.gl2 import (
+    gl2_order,
+    mat_det,
+    subgroup_catalog,
+    surjectivity_heuristic,
+    surjectivity_witnesses,
+)
 from torsionfields import oracle
 from torsionfields.oracle import (
     chebotarev_degree,
@@ -167,7 +181,33 @@ def _factor_fingerprint(ell, A, B, m):
     return n, (n, tuple(sorted(main)), tuple(sorted(vec)), cub)
 
 
-def test_block_fingerprint_matches_factor_fingerprint():
+def _ddf_fingerprint(ell, A, B, m):
+    """(a, n, fingerprint) by the distinct-degree blocks of the abscissa
+    polynomial and of the curve cubic at every prime, whatever the trace."""
+    a_red, b_red = _mod(A, ell), _mod(B, ell)
+    a = ell + 1 - count_points_prime(ell, a_red, b_red)
+    dp = DivisionPolynomials(ell, a_red, b_red)
+    poly, has_two_part = dp.torsion_x_polynomial(m)
+    main, vec = [], []
+    if m == 2:
+        cubic = poly
+    else:
+        cubic = dp.curve_poly if has_two_part else None
+        for d, part, squares in distinct_degree_blocks(poly, ell, dp.curve_poly):
+            count, on_squares = poly_deg(part) // d, poly_deg(squares) // d
+            main.extend([d] * count)
+            vec.extend([d] * (2 * on_squares) + [2 * d] * (count - on_squares))
+    cub = ()
+    if cubic is not None:
+        cub = tuple(d for d, part, _ in distinct_degree_blocks(cubic, ell)
+                    for _ in range(poly_deg(part) // d))
+    n = math.lcm(1, *vec, *cub)
+    return a, n, (a % m, ell % m, n, tuple(sorted(main)), tuple(sorted(vec)), cub)
+
+
+def _fingerprint_corpus():
+    """(A, B, m, ell): every seventh of the first 42 good primes of random
+    curves, m in {2, 3, 4, 5, 7}, over 600 samples."""
     rng = random.Random(2024)
     checked = 0
     while checked < 600:
@@ -181,9 +221,96 @@ def test_block_fingerprint_matches_factor_fingerprint():
                     break
                 if i % 7:
                     continue
-                _, n, fp = frobenius_fingerprint(ell, A, B, m)
-                assert (n, fp[2:]) == _factor_fingerprint(ell, A, B, m), (A, B, m, ell)
+                yield A, B, m, ell
                 checked += 1
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7])
+def test_trace_key_fixes_the_fingerprint_off_the_ambiguous_keys(m):
+    # every matrix of GL2(Z/m), by (trace, det, action on the 2-torsion)
+    by_key = {}
+    for M in product(range(m), repeat=4):
+        if math.gcd(mat_det(M, m), m) == 1:
+            fp = matrix_fingerprint(M, m)
+            by_key.setdefault((fp[0], fp[1], fp[5]), set()).add(fp)
+    ambiguous = {key for key, fps in by_key.items() if len(fps) > 1}
+    if m == 4:
+        # Frobenius = I on E[2], trace and det (2, 1) or (0, 3) mod 4
+        assert len(by_key) == 10
+        assert ambiguous == {(2, 1, (1, 1, 1)), (0, 3, (1, 1, 1))}
+    else:
+        assert ambiguous == {key for key in by_key if (key[0] ** 2 - 4 * key[1]) % m == 0}
+        for key in ambiguous:
+            # lambda*I, of order prime to m, or a Jordan block
+            assert sorted(fp[2] % m == 0 for fp in by_key[key]) == [False, True]
+    for (tr, det, cub), fps in by_key.items():
+        assert oracle._key_fingerprints(m, tr, det, cub) == tuple(sorted(fps))
+
+
+def test_stickelberger_cubic_degrees_match_ddf():
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        ell = rng.choice([p for p in range(5, 400) if is_prime(p)])
+        a, b = rng.randrange(ell), rng.randrange(ell)
+        if (4 * a ** 3 + 27 * b * b) % ell == 0:
+            continue
+        cubic = np.array([b, a, 0, 1], dtype=np.int64)
+        want = tuple(d for d, part, _ in distinct_degree_blocks(cubic, ell)
+                     for _ in range(poly_deg(part) // d))
+        got = oracle._cubic_degrees(ell, a, b, count_points_prime(ell, a, b))
+        assert got == want, (ell, a, b)
+        seen.add(got)
+    assert seen == {(1, 1, 1), (1, 2), (3,)}
+
+
+def test_block_fingerprint_matches_factor_fingerprint():
+    for A, B, m, ell in _fingerprint_corpus():
+        _, n, fp = _ddf_fingerprint(ell, A, B, m)
+        assert (n, fp[2:]) == _factor_fingerprint(ell, A, B, m), (A, B, m, ell)
+
+
+def test_trace_fingerprint_matches_ddf_fingerprint():
+    # (m, ambiguous key, order prime to m) -> primes: the corpus reaches both
+    # answers of the scalar test at m = 3 and the ambiguous m = 4 keys
+    seen = Counter()
+    for A, B, m, ell in _fingerprint_corpus():
+        got = frobenius_fingerprint(ell, A, B, m)
+        assert got == _ddf_fingerprint(ell, A, B, m), (A, B, m, ell)
+        fp = got[2]
+        ambiguous = len(oracle._key_fingerprints(m, fp[0], fp[1], fp[5])) > 1
+        seen[m, ambiguous, math.gcd(got[1], m) == 1] += 1
+    assert seen[3, True, True] and seen[3, True, False]
+    assert seen[5, True, False] and seen[7, True, False] and seen[4, True, False]
+    assert not seen[2, True, True] + seen[2, True, False]
+    # larger and composite m, at a few primes each
+    rng = random.Random(13)
+    for m in (6, 8, 9, 11, 13):
+        done = 0
+        while done < 12:
+            A, B = Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30))
+            if discriminant(A, B) == 0:
+                continue
+            for ell in islice(good_primes(A, B, m), 0, 12, 4):
+                got = frobenius_fingerprint(ell, A, B, m)
+                assert got == _ddf_fingerprint(ell, A, B, m), (A, B, m, ell)
+                done += 1
+
+
+# (ell, A, B, m, n_ell) with Frobenius lambda*I on E[m]; the order k of
+# lambda in F_m^x/{+-1}, the number of ell-th powers taken, is 1, 2, 3 or 6
+SCALAR_FROBENIUS = [
+    (31, 0, 11, 5, 1), (19, 0, 4, 5, 4), (43, 0, 3, 7, 1), (37, 0, 3, 7, 6),
+    (53, 2, 0, 7, 3), (331, 0, 4, 11, 1), (157, 0, 15, 13, 1),
+    (139, 0, 3, 13, 6), (127, 0, 3, 13, 12),
+]
+
+
+@pytest.mark.parametrize("ell,A,B,m,n", SCALAR_FROBENIUS)
+def test_scalar_frobenius_found_by_the_abscissa_test(ell, A, B, m, n):
+    got = frobenius_fingerprint(ell, Fraction(A), Fraction(B), m)
+    assert got[1] == n
+    assert got == _ddf_fingerprint(ell, Fraction(A), Fraction(B), m)
 
 
 def test_catalog_fingerprints_cover_full_group():
@@ -197,6 +324,37 @@ def test_catalog_fingerprints_cover_full_group():
         # every other class's support is contained in the full group's
         for _, mult in sigsets:
             assert set(mult) <= set(full_mult)
+
+
+def _full_likelihood_estimate(m, observed):
+    """The catalog fit with every class's likelihood summed afresh."""
+    best = None
+    for order, mult in _catalog_fingerprints(m):
+        if any(fp not in mult for fp in observed):
+            continue
+        loglik = sum(cnt * (math.log(mult[fp]) - math.log(order))
+                     for fp, cnt in observed.items())
+        key = (-loglik, order)
+        if best is None or key < best:
+            best = key
+    return best[1]
+
+
+def test_catalog_estimate_matches_full_likelihood():
+    # fingerprint streams drawn from each catalog class, fitted after every
+    # sample as chebotarev_degree does: classes dropped once out of support
+    rng = random.Random(5)
+    for m in (3, 4):
+        for _, sub in subgroup_catalog(m):
+            elements = sorted(sub)
+            observed = Counter()
+            classes = oracle._catalog_log_terms(m)
+            for _ in range(30):
+                fp = matrix_fingerprint(rng.choice(elements), m)
+                observed[fp] += 1
+                classes = [c for c in classes if fp in c[1]]
+                assert (oracle._catalog_estimate(classes, observed)
+                        == _full_likelihood_estimate(m, observed))
 
 
 def test_heuristic_path_prime_m():
