@@ -2,9 +2,13 @@
 """Run the finite-field theorem suite and dump the reports as JSON lines.
 
 Defaults reproduce the seed-0 regression run (8060 reports, all passing).
+The sha256 of the JSONL goes to stderr with the summary, so the seed-0 run
+can be compared byte for byte with one command.
 """
 
 import argparse
+import hashlib
+import io
 import sys
 import time
 
@@ -34,16 +38,20 @@ def main() -> int:
     reports = run_suite(seed=args.seed, m_counts=m_counts, theorems=theorems)
     bad = failures(reports)
 
+    buf = io.StringIO()
+    write_jsonl(reports, buf)
+    text = buf.getvalue()
     if args.out == "-":
-        write_jsonl(reports, sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(args.out, "w") as fh:
-            write_jsonl(reports, fh)
+            fh.write(text)
 
     print(
         f"{len(reports)} reports, {len(bad)} failures, {time.time() - t0:.1f}s",
         file=sys.stderr,
     )
+    print(f"sha256 {hashlib.sha256(text.encode()).hexdigest()}", file=sys.stderr)
     for rep in bad:
         print(f"FAIL {rep.theorem} q={rep.q} A={rep.A} B={rep.B} m={rep.m}: {rep.note}",
               file=sys.stderr)

@@ -3,7 +3,8 @@ of y^2 = x^3 + A x + B.
 
 Two independent code paths share the closed-form radical data.
 `radical_roots3` evaluates the radical expressions for the four abscissas
-(and their ordinates) numerically at high precision and checks residuals.
+(and their ordinates) numerically at `working_bits(A, B)` and checks
+residuals.
 `conditions3` decides, by exact square/cube tests inside an explicitly
 constructed tower of number fields, which radicals genuinely enlarge the
 field; `degree3` and `galois_group3` turn those flags into the extension
@@ -31,6 +32,7 @@ from .numberfield import (  # noqa: F401  (ClassificationDefect is re-exported)
     rational_cbrt,
     sqrt_in,
     to_mpf,
+    working_bits,
 )
 
 #: every group name the classifier can emit, with its order (always = degree)
@@ -57,11 +59,11 @@ FLAG_KEYS_B0 = ("sqrt3", "abscissa", "ordinate", "zeta")
 def _principal(field, value, root):
     """Return whichever of +-root embeds as the principal square root of
     `value` under the distinguished embedding (the cubic floor here,
-    t^3 - disc, has one real root)."""
-    with mpmath.workprec(160):
-        want = mpmath.sqrt(mpmath.mpc(embed(field, value)))
-        have = mpmath.mpc(embed(field, root))
-        return root if abs(have - want) <= abs(have + want) else -root
+    t^3 - disc, has one real root), compared at the working precision."""
+    gens = {}
+    want = mpmath.sqrt(mpmath.mpc(embed(field, value, gens)))
+    have = mpmath.mpc(embed(field, root, gens))
+    return root if abs(have - want) <= abs(have + want) else -root
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +91,21 @@ class RadicalData3:
     eta0: object = None
 
 
-def radical_roots3(A, B, precision: int = 256):
+def radical_roots3(A, B):
     """Evaluate the four abscissas of the order-3 points from the closed
     radical formulas, together with matching ordinates.
 
     Returns (xs, ys, data) with ys[i]^2 = xs[i]^3 + A xs[i] + B and
-    phi3(xs[i]) = 0, both verified here to RESIDUAL_BOUND (a failure raises
-    ClassificationDefect: it would mean the formulas are transcribed wrong).
+    phi3(xs[i]) = 0, both verified here to RESIDUAL_BOUND at
+    `working_bits(A, B)`, the precision of the returned values (a failure
+    raises ClassificationDefect: it would mean the formulas are transcribed
+    wrong).
     """
     A, B = Fraction(A), Fraction(B)
     disc = discriminant(A, B)
     if disc == 0:
         raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
-    with mpmath.workprec(precision):
+    with mpmath.workprec(working_bits(A, B)):
         a_, b_ = to_mpf(A), to_mpf(B)
         if B:
             d_ = to_mpf(disc)
@@ -290,7 +294,8 @@ def _tower_b0(A: Fraction) -> _Tower3:
 def _tower(A: Fraction, B: Fraction) -> _Tower3:
     if discriminant(A, B) == 0:
         raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
-    return _tower_b0(A) if B == 0 else _tower_bnz(A, B)
+    with mpmath.workprec(working_bits(A, B)):     # for _principal's signs
+        return _tower_b0(A) if B == 0 else _tower_bnz(A, B)
 
 
 def conditions3(A, B):
@@ -364,18 +369,6 @@ def galois_group3(flags: dict, degree: int, quartic: str | None = None,
     if GROUP_ORDERS[g] != degree:
         raise ClassificationDefect(f"group {g} does not have order {degree}")
     return g
-
-
-def description3(A, B) -> dict:
-    """Which adjunctions generate the full order-3 coordinate field."""
-    A, B = Fraction(A), Fraction(B)
-    if B:
-        return {"branch": "Bnz",
-                "field_generators": ["sqrt_c", "zeta3", "y1"],
-                "coordinate_generators": ["x1", "y1", "y2"]}
-    return {"branch": "B0",
-            "field_generators": ["zeta3", "y1"],
-            "coordinate_generators": ["x1", "y1", "y2"]}
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .numberfield import (
     rational_roots,
     rational_sqrt,
     to_mpf,
+    working_bits,
 )
 
 #: condition keys, in the order they are tested (each against the field
@@ -107,8 +108,9 @@ def two_torsion_split(A, B) -> TwoTorsionSplit:
             # cyclic cubic: the other roots live in Q(alpha) already
             sd = rational_sqrt(disc)
             w = F0.from_rational(sd) * (al * al * 3 + F0.from_rational(A)).inverse()
-            if embed(F0, w).real < 0:
-                w = -w
+            with mpmath.workprec(working_bits(A, B)):
+                if embed(F0, w).real < 0:
+                    w = -w
             b, g = (-al + w) / 2, (-al - w) / 2
             split = TwoTorsionSplit(A, B, "irreducible", 3, F0, al, b, g, disc)
         else:
@@ -136,8 +138,9 @@ class FourTorsionPoint:
     t^2 = b are the differences (root - other1), (root - other2):
     x = root + sign*s*t and y = sign*b*s + a*t.  They lie on the curve
     because the split's roots fit Vieta's formulas (see
-    `four_torsion_points`); the numeric values (256-bit, distinguished
-    embedding) are kept for reporting and the duplication check.
+    `four_torsion_points`); the numeric values (at `working_bits(A, B)`,
+    distinguished embedding) are kept for reporting and the duplication
+    check.
     """
 
     halves: str                  # "alpha" | "beta" | "gamma"
@@ -148,7 +151,7 @@ class FourTorsionPoint:
     y_num: object
 
 
-def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
+def four_torsion_points(split: TwoTorsionSplit):
     """The six order-4 points (one per sign of the halved abscissa, modulo
     y -> -y), with exact tower coordinates and numeric verification.
 
@@ -158,7 +161,8 @@ def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
             = sigma st (sigma st + a)(sigma st + b) = (x - r0)(x - r1)(x - r2),
     so y^2 = x^3 + A x + B as soon as r0, r1, r2 are the roots of the
     cubic, which is what `TwoTorsionSplit.roots_fit` checks.  The values
-    take the principal roots of a and b."""
+    take the principal roots of a and b, and their residuals are checked
+    against RESIDUAL_BOUND at `working_bits(A, B)`."""
     if not split.roots_fit():
         raise ClassificationDefect("curve identity fails in the tower")
     A, B, K = split.A, split.B, split.field
@@ -168,7 +172,8 @@ def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
     labelled = [("alpha", split.alpha, split.beta, split.gamma),
                 ("beta", split.beta, split.alpha, split.gamma),
                 ("gamma", split.gamma, split.alpha, split.beta)]
-    with mpmath.workprec(precision):
+    with mpmath.workprec(working_bits(A, B)):
+        am, bm = to_mpf(A), to_mpf(B)
         for name, r0, r1, r2 in labelled:
             a, b = r0 - r1, r0 - r2
             L1 = QuadTower(K, a)
@@ -181,11 +186,11 @@ def four_torsion_points(split: TwoTorsionSplit, precision: int = 256):
                         for c in (xc, yc))
                 xn = rn + (sn if sign > 0 else -sn) * tn
                 yn = (bn if sign > 0 else -bn) * sn + an * tn
-                fxn = xn ** 3 + to_mpf(A) * xn + to_mpf(B)
+                fxn = xn ** 3 + am * xn + bm
                 if abs(yn * yn - fxn) > RESIDUAL_BOUND:
                     raise ClassificationDefect("numeric curve residual too large")
                 # duplication: 2P must land on (r0, 0)
-                dx = ((xn * xn - to_mpf(A)) ** 2 - 8 * to_mpf(B) * xn) / (4 * fxn)
+                dx = ((xn * xn - am) ** 2 - 8 * bm * xn) / (4 * fxn)
                 if abs(dx - rn) > RESIDUAL_BOUND:
                     raise ClassificationDefect("P does not halve the expected "
                                                "2-torsion point")

@@ -184,15 +184,13 @@ class DivisionPolynomials:
         return out
 
     def torsion_x_polynomial(self, m: int):
-        """(monic x-polynomial, has_two_torsion_part) for m >= 2.
+        """The monic x-polynomial of E[m] for m >= 2.
 
-        The roots of the returned polynomial are the abscissas of the
-        m-torsion points P with 2P != O; when the flag is True (even m) the
-        abscissas of the 2-torsion points — the roots of the curve cubic —
-        complete the picture.
+        For m >= 3 its roots are the abscissas of the m-torsion points P
+        with 2P != O; for even m the abscissas of the 2-torsion points —
+        the roots of the curve cubic, which m = 2 returns — complete the
+        picture.
         """
         if m < 2:
             raise ValueError(f"m must be at least 2, got {m}")
-        if m == 2:
-            return poly_make_monic(self.curve_poly, self.p), True
-        return poly_make_monic(self[m], self.p), m % 2 == 0
+        return poly_make_monic(self.curve_poly if m == 2 else self[m], self.p)

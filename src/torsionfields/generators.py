@@ -326,7 +326,7 @@ def check_galgl(td):
     D = (m * m - 1) // 2
     c2 = False
     if n % D == 0:  # a degree-D irreducible factor must divide x1's degree
-        phi, _ = DivisionPolynomials(q, td.A, td.B).torsion_x_polynomial(m)
+        phi = DivisionPolynomials(q, td.A, td.B).torsion_x_polynomial(m)
         if poly_deg(phi) != D:
             raise ArithmeticError(f"division polynomial of degree {poly_deg(phi)}, not {D}")
         c2 = poly_is_irreducible(phi, q) and gcd(D, kz) == 1

@@ -156,24 +156,6 @@ def lift_gl2f2(M2: tuple) -> tuple:
 # single-matrix classification over F_p
 # ---------------------------------------------------------------------------
 
-def classify_cyclic_image(M, p: int) -> str:
-    """Where the group generated by one matrix must live, by discriminant.
-
-    'split': distinct rational eigenvalues (inside a split Cartan);
-    'nonsplit': irreducible characteristic polynomial (nonsplit Cartan);
-    'borel': repeated eigenvalue (Borel after conjugation).
-    """
-    tr = mat_trace(M, p)
-    det = mat_det(M, p)
-    disc = (tr * tr - 4 * det) % p
-    s = legendre(disc, p)
-    if s == 1:
-        return "split"
-    if s == -1:
-        return "nonsplit"
-    return "borel"
-
-
 def _ratio_powers(tr: int, det: int, p: int):
     """r, r^2, r^3, ... for the ratio r of the eigenvalues of a matrix with
     trace tr, determinant det and nonzero discriminant, computed in

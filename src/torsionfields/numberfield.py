@@ -17,7 +17,11 @@ whether a given element is a square in its field, exactly and at any height:
 
 `rational_roots` finds the rational roots of a monic rational polynomial by
 exact integer bisection.  Numeric values appear only where a complex value
-is wanted (`cubic_roots`, `embed`); no square test uses them.
+is wanted (`cubic_roots`, `embed`); no square test uses them.  Their one
+working precision, `working_bits(A, B)`, is set here from the height of the
+curve's coefficients: `PRECISION_BITS` while that keeps the classifiers'
+residuals within `RESIDUAL_BOUND`, and eight bits more per bit of height
+beyond.
 
 Representation.  A cubic field keeps t^3 + a t + b as integers ai, bi over
 one positive denominator e.  A cubic element is (n0 + n1 t + n2 t^2) / d
@@ -49,7 +53,7 @@ from .curve import discriminant
 SQUARE = "square"
 NOT_SQUARE = "not_square"
 
-#: working precision of embeddings
+#: least working precision of the classifiers' numeric values
 PRECISION_BITS = 256
 #: largest numeric residual the classifiers accept in their self-checks
 RESIDUAL_BOUND = 1e-9
@@ -111,6 +115,23 @@ def rational_cbrt(q: Fraction) -> Fraction | None:
 def is_rational_cube(q: Fraction) -> bool:
     """Whether q is the cube of a rational (0 counts)."""
     return rational_cbrt(q) is not None
+
+
+def _height(*values) -> int:
+    """The largest bit length of a numerator or denominator of the rationals."""
+    return max(max(q.numerator.bit_length(), q.denominator.bit_length())
+               for q in map(Fraction, values))
+
+
+def working_bits(*values) -> int:
+    """The working precision for numbers computed from the rationals
+    `values`: PRECISION_BITS, or 64 bits plus eight per bit of their height
+    h when that is more.  The residuals are checked in absolute terms, on
+    terms up to A^2 ~ 2^(2h), and the radical c = (-cbrt(disc) - 4A) / 3 of
+    `radical_roots3` is about 3B^2 / A^2 when small, so computing it
+    cancels up to log2 |A^3 / B^2| <= 5h bits: 7h in all.  PRECISION_BITS
+    covers every coefficient of up to 24 bits."""
+    return max(PRECISION_BITS, 8 * _height(*values) + 64)
 
 
 def rational_roots(coeffs) -> list[Fraction]:
@@ -190,7 +211,6 @@ class CubicField:
         self.e = math.lcm(self.a.denominator, self.b.denominator)
         self.ai = self.a.numerator * (self.e // self.a.denominator)
         self.bi = self.b.numerator * (self.e // self.b.denominator)
-        self._roots = None
 
     def elt(self, c0, c1=0, c2=0) -> "CubicElement":
         c0, c1, c2 = Fraction(c0), Fraction(c1), Fraction(c2)
@@ -212,14 +232,6 @@ class CubicField:
     def one(self):
         return CubicElement(self, 1, 0, 0, 1)
 
-    def embeddings(self):
-        """The three roots of t^3 + a t + b as mpmath complex numbers."""
-        if self._roots is None:
-            with mpmath.workprec(PRECISION_BITS):
-                roots = cubic_roots(self.a, self.b)
-                self._roots = [mpmath.mpc(r) for r in roots]
-        return self._roots
-
     def __eq__(self, other):
         return isinstance(other, CubicField) and other.a == self.a and other.b == self.b
 
@@ -239,14 +251,15 @@ def embed(field, x, gens=None):
     """The value of x under the distinguished embedding of `field` (None
     meaning Q), at the working precision: the largest real root of a cubic
     floor, principal square roots above.  `gens` caches, per floor, that
-    cubic root or the square root of its radicand."""
+    cubic root (from `cubic_roots`) or the square root of its radicand, so
+    one dict serves one working precision."""
     if field is None:
         return to_mpf(x)
     gens = {} if gens is None else gens
     if id(field) not in gens:
         if isinstance(field, CubicField):
-            g = max((r for r in field.embeddings() if not mpmath.im(r)),
-                    key=mpmath.re)
+            g = max(r for r in cubic_roots(field.a, field.b)
+                    if isinstance(r, mpmath.mpf))
         else:
             g = mpmath.sqrt(mpmath.mpc(embed(field.base, field.radicand, gens)))
         gens[id(field)] = (field, g)     # holding field keeps its id unique
@@ -269,10 +282,8 @@ def cubic_roots(a, b):
     and is rounded at the end.
     """
     a, b = Fraction(a), Fraction(b)
-    height = max(x.bit_length() for x in
-                 (a.numerator, a.denominator, b.numerator, b.denominator))
     disc = discriminant(a, b)
-    with mpmath.extraprec(120 + 4 * height):
+    with mpmath.extraprec(120 + 4 * _height(a, b)):
         am, bm = to_mpf(a), to_mpf(b)
         if disc > 0:
             r = 2 * mpmath.sqrt(-am / 3)

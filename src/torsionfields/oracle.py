@@ -190,7 +190,7 @@ def _frobenius_is_scalar(ell: int, a_red: int, b_red: int, m: int, a: int) -> bo
     k, lam_k = 1, lam
     while lam_k not in (1, m - 1):
         k, lam_k = k + 1, lam_k * lam % m
-    poly, _ = DivisionPolynomials(ell, a_red, b_red).torsion_x_polynomial(m)
+    poly = DivisionPolynomials(ell, a_red, b_red).torsion_x_polynomial(m)
     ring = ModRing(poly, ell)
     h = np.array([0, 1], dtype=np.int64)
     for _ in range(k):
@@ -203,7 +203,7 @@ def _block_fingerprint(ell: int, a_red: int, b_red: int, m: int, a: int,
     """The fingerprint by the field-of-definition count over the
     distinct-degree blocks of the abscissa polynomial, for m >= 3."""
     dp = DivisionPolynomials(ell, a_red, b_red)
-    poly, _ = dp.torsion_x_polynomial(m)
+    poly = dp.torsion_x_polynomial(m)
     main_degs: list[int] = []
     vec_degs: list[int] = []
     for d, part, squares in distinct_degree_blocks(poly, ell, dp.curve_poly):

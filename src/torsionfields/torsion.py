@@ -193,14 +193,15 @@ class TorsionData:
                 return k
         raise AssertionError("no fixing power found below n")
 
-    def weil(self, P, Q, level: int | None = None):
-        return weil_pairing(self.curve, P, Q, self.m if level is None else level)
+    def weil(self, P, Q):
+        return weil_pairing(self.curve, P, Q, self.m)
 
     def zeta_d(self, d: int):
-        """A primitive d-th root of unity from the pairing, for d | m."""
+        """A primitive d-th root of unity from the pairing, for d | m:
+        e_d((m/d) P1, (m/d) P2) = zeta^(m/d) by compatibility."""
         if self.m % d or d < 2:
             raise ValueError(f"d = {d} is not a divisor >= 2 of m = {self.m}")
-        return self.weil(self.point(self.m // d, 0), self.point(0, self.m // d), d)
+        return pow_elt(self.zeta, self.m // d)
 
     @property
     def x1(self):
@@ -254,10 +255,9 @@ def rebase(td: TorsionData, U: tuple) -> TorsionData:
 # ---------------------------------------------------------------------------
 
 def _primitive_x_poly(D: DivisionPolynomials, m: int) -> np.ndarray:
-    xp, _ = D.torsion_x_polynomial(m)
+    xp = D.torsion_x_polynomial(m)
     for d in _PRIM_STRIP.get(m, ()):
-        xpd, _ = D.torsion_x_polynomial(d)
-        xp, r = poly_divmod(xp, xpd, D.p)
+        xp, r = poly_divmod(xp, D.torsion_x_polynomial(d), D.p)
         if r.any():
             raise TorsionConstructionError("divisor polynomial did not divide")
     return xp
@@ -512,25 +512,16 @@ def _construct_via_division_poly(q, A, B, m, rng):
         raise TorsionConstructionError("no full-degree factor")
     g_star = min(equal_degree_split(sub, d_star, q, rng), key=lambda f: f.tolist())
 
-    y1 = None
-    if n == d_star:
-        if d_star == 1:
-            F = PrimeField(q)
-            x1 = F.from_int(-int(g_star[0]))
-        else:
-            F = ExtField(q, g_star)
-            x1 = F.gen()
+    if d_star == 1:
+        base = PrimeField(q)
+        x1 = base.from_int(-int(g_star[0]))
     else:
-        if d_star == 1:
-            base = PrimeField(q)
-            xb = base.from_int(-int(g_star[0]))
-        else:
-            base = ExtField(q, g_star)
-            xb = base.gen()
-        t = xb * xb * xb + base.from_int(A) * xb + base.from_int(B)
-        F = QuadExt(base, t)
-        x1 = F.elt(xb, base.zero())
-        y1 = F.gen()  # Y^2 = f(x1) by construction
+        base = ExtField(q, g_star)
+        x1 = base.gen()
+    F, y1 = base, None
+    if n == 2 * d_star:
+        F = QuadExt(base, x1 * x1 * x1 + base.from_int(A) * x1 + base.from_int(B))
+        x1, y1 = F.elt(x1, base.zero()), F.gen()  # Y^2 = f(x1) by construction
 
     E = EllipticCurve(F, F.from_int(A), F.from_int(B))
     if y1 is None:

@@ -277,7 +277,7 @@ def test_criterion_7_radical_residuals():
         A, B = Fraction(rng.randint(-80, 80)), Fraction(rng.randint(-80, 80))
         if discriminant(A, B) == 0:
             continue
-        xs, ys, _ = radical_roots3(A, B, precision=256)
+        xs, ys, _ = radical_roots3(A, B)
         with mpmath.workprec(256):
             for x, y in zip(xs, ys):
                 phi3 = 3 * x**4 + 6 * int(A) * x**2 + 12 * int(B) * x - int(A) ** 2

@@ -22,7 +22,6 @@ from torsionfields.classify3 import (
     classify3,
     conditions3,
     degree3,
-    description3,
     galois_group3,
     radical_roots3,
 )
@@ -346,10 +345,3 @@ def test_report_json_shape():
     assert js["branch"] == "Bnz"
     assert js["degree"] == 4 and js["group"] == "Z2xZ2"
     assert isinstance(rep, Classification3Report)
-
-
-def test_description3():
-    d = description3(1, 1)
-    assert d["branch"] == "Bnz"
-    assert "zeta3" in d["field_generators"]
-    assert description3(5, 0)["branch"] == "B0"

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torsionfields
-from torsionfields.classify3 import ClassificationDefect, classify3
+from torsionfields.classify3 import ClassificationDefect, classify3, radical_roots3
 from torsionfields.classify4 import (
     FLAG_KEYS_4,
     Classification4Report,
@@ -38,6 +38,7 @@ from torsionfields.classify4 import (
     two_torsion_split,
 )
 from torsionfields.finitefield import is_prime
+from torsionfields.numberfield import RESIDUAL_BOUND, embed, to_mpf, working_bits
 from torsionfields.torsion import torsion_data
 
 SPLIT_A, SPLIT_B = Fraction(-481, 3), Fraction(9758, 27)   # roots 34/3, 7/3, -41/3
@@ -404,19 +405,49 @@ def test_classify4_properties(A, B):
     assert list(rep.flags) == list(FLAG_KEYS_4)
 
 
-@pytest.mark.parametrize("u", [997, 10**5 + 3, Fraction(10**9 + 7, 13),
-                               10**30 + 57],
-                         ids=["997", "100003", "1000000007_over_13", "1e30+57"])
+TWIST_FACTORS = pytest.mark.parametrize(
+    "u", [997, 10**5 + 3, Fraction(10**9 + 7, 13), 10**30 + 57],
+    ids=["997", "100003", "1000000007_over_13", "1e30+57"])
+TWIST_BASES = SPECIAL_CURVES + [(Fraction(1), Fraction(1)),
+                                (Fraction(2), Fraction(14))]
+
+
+@TWIST_FACTORS
 def test_twists_classify_like_their_base(u):
     # (u^4 A, u^6 B) is isomorphic to (A, B) over Q: same fields, same answer
-    for A, B in SPECIAL_CURVES + [(Fraction(1), Fraction(1)),
-                                  (Fraction(2), Fraction(14))]:
+    for A, B in TWIST_BASES:
         for classify in (classify3, classify4):
             base = classify(A, B).to_json()
             twist = classify(A * u ** 4, B * u ** 6).to_json()
             assert twist["confidence"] == "exact"
             for key in ("flags", "degree", "group", "structure", "confidence"):
                 assert twist.get(key) == base.get(key), (A, B, key)
+
+
+@TWIST_FACTORS
+def test_twists_pass_the_numeric_checks(u):
+    # the radicals and the order-4 points of a twist meet RESIDUAL_BOUND at
+    # the precision the calls work at, however large u^4 A and u^6 B are
+    for A0, B0 in TWIST_BASES:
+        A, B = A0 * u ** 4, B0 * u ** 6
+        xs, ys, _ = radical_roots3(A, B)
+        split = two_torsion_split(A, B)
+        points = four_torsion_points(split)
+        assert len(xs) == 4 and len(points) == 6
+        with mpmath.workprec(working_bits(A, B)):
+            a, b, gens = to_mpf(A), to_mpf(B), {}
+            for x, y in zip(xs, ys):
+                x = mpmath.mpc(x)
+                assert abs(x ** 4 + 2 * a * x * x + 4 * b * x - a * a / 3) \
+                    <= RESIDUAL_BOUND, (A0, B0)
+                assert abs(y * y - (x ** 3 + a * x + b)) <= RESIDUAL_BOUND, (A0, B0)
+            for pt in points:
+                x, y = pt.x_num, pt.y_num
+                fx = x ** 3 + a * x + b
+                assert abs(y * y - fx) <= RESIDUAL_BOUND, (A0, B0, pt.halves)
+                r0 = embed(split.field, getattr(split, pt.halves), gens)
+                double_x = ((x * x - a) ** 2 - 8 * b * x) / (4 * fx)
+                assert abs(double_x - r0) <= RESIDUAL_BOUND, (A0, B0, pt.halves)
 
 
 def test_report_json_shape():

@@ -195,14 +195,11 @@ def test_psi_degrees():
 
 def test_torsion_x_polynomial_monic_and_m5_degree():
     D = DivisionPolynomials(199, 11, 17)
-    g, flag = D.torsion_x_polynomial(5)
-    assert not flag
+    g = D.torsion_x_polynomial(5)
     assert poly_deg(g) == 12
     assert g[-1] == 1
-    g2, flag2 = D.torsion_x_polynomial(2)
-    assert flag2 and poly_deg(g2) == 3
-    g4, flag4 = D.torsion_x_polynomial(4)
-    assert flag4 and poly_deg(g4) == 6
+    assert poly_deg(D.torsion_x_polynomial(2)) == 3
+    assert poly_deg(D.torsion_x_polynomial(4)) == 6
 
 
 def test_psi_divisibility():
@@ -226,7 +223,7 @@ def test_psi_roots_are_torsion_abscissas():
     E = EllipticCurve(F, F.from_int(A), F.from_int(B))
     D = DivisionPolynomials(p, A, B)
     for m in (3, 4, 5, 7):
-        g, _ = D.torsion_x_polynomial(m)
+        g = D.torsion_x_polynomial(m)
         for x0 in range(p):
             if poly_eval(g, x0, p) != 0:
                 continue
@@ -246,8 +243,8 @@ def test_psi_matches_multiplication_orders():
     # the torsion abscissa: y^2 = x^3 + 1 has (2,3) of order 6, (0,1) of 3
     p = 1009
     D = DivisionPolynomials(p, 0, 1)
-    g3, _ = D.torsion_x_polynomial(3)
+    g3 = D.torsion_x_polynomial(3)
     assert poly_eval(g3, 0, p) == 0
-    g6, _ = D.torsion_x_polynomial(6)
+    g6 = D.torsion_x_polynomial(6)
     assert poly_eval(g6, 2, p) == 0
     assert poly_eval(g3, 2, p) != 0

@@ -7,7 +7,6 @@ import pytest
 from torsionfields.gl2 import (
     ETA,
     I2,
-    classify_cyclic_image,
     divisors,
     eta_power,
     factor_int,
@@ -81,31 +80,6 @@ def test_section_gl2f2_into_gl2z4():
     K = h42_kernel()
     hits = {mat_mul(h, lift_gl2f2(M), 4) for h in K for M in gl2_elements(2)}
     assert len(hits) == 96
-
-
-def _charpoly_roots(M, p):
-    tr, det = mat_trace(M, p), mat_det(M, p)
-    return [x for x in range(p) if (x * x - tr * x + det) % p == 0]
-
-
-def test_classify_cyclic_image_against_eigenvalues():
-    rng = random.Random(20817)
-    for p in (5, 13):
-        seen = set()
-        while len(seen) < 3:
-            M = tuple(rng.randrange(p) for _ in range(4))
-            if mat_det(M, p) == 0:
-                continue
-            kind = classify_cyclic_image(M, p)
-            seen.add(kind)
-            roots = _charpoly_roots(M, p)
-            if kind == "split":
-                assert len(roots) == 2
-            elif kind == "nonsplit":
-                assert roots == []
-            else:
-                assert len(roots) == 1
-    assert classify_cyclic_image(I2, 7) == "borel"
 
 
 def _brute_projective_order(M, p):

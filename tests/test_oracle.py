@@ -167,7 +167,7 @@ def _factor_fingerprint(ell, A, B, m):
     of degree d is one abscissa orbit, two vector orbits of size d when the
     curve cubic is a square on it, one of size 2d when not."""
     dp = DivisionPolynomials(ell, _mod(A, ell), _mod(B, ell))
-    poly, has_two_part = dp.torsion_x_polynomial(m)
+    poly, has_two_part = dp.torsion_x_polynomial(m), m % 2 == 0
     main, vec = [], []
     if m != 2:
         for g in factor_squarefree(poly, ell, random.Random(0)):
@@ -187,7 +187,7 @@ def _ddf_fingerprint(ell, A, B, m):
     a_red, b_red = _mod(A, ell), _mod(B, ell)
     a = ell + 1 - count_points_prime(ell, a_red, b_red)
     dp = DivisionPolynomials(ell, a_red, b_red)
-    poly, has_two_part = dp.torsion_x_polynomial(m)
+    poly, has_two_part = dp.torsion_x_polynomial(m), m % 2 == 0
     main, vec = [], []
     if m == 2:
         cubic = poly

@@ -413,6 +413,15 @@ def test_zeta_d_orders():
         for ell in (2, 3):
             if dd % ell == 0:
                 assert pow_elt(z, dd // ell) != td.field.one()
+    # zeta_d is zeta^(m/d), which the compatibility of the pairings makes
+    # e_d((m/d) P1, (m/d) P2): the Miller loop at level d agrees
+    for q, A, B, m in SPREAD + [(5, 0, 1, 6), (7, 2, 3, 10)]:
+        td = _data(q, A, B, m)
+        for dd in range(2, m + 1):
+            if m % dd == 0:
+                k = m // dd
+                want = weil_pairing(td.curve, td.point(k, 0), td.point(0, k), dd)
+                assert td.zeta_d(dd) == want, (q, A, B, m, dd)
 
 
 def test_construction_is_deterministic():
