@@ -85,8 +85,9 @@ class EllipticCurve:
         while k:
             if k & 1:
                 R = self.add(R, Q)
-            Q = self.add(Q, Q)
             k >>= 1
+            if k:
+                Q = self.add(Q, Q)
         return R
 
 
@@ -102,8 +103,9 @@ def count_points_prime(p: int, A: int, B: int) -> int:
     """|E(F_p)| including infinity, by quadratic-character table.
 
     The table of squares takes one byte per element of F_p; the int64 work
-    runs over COUNT_CHUNK values of x at a time, so it does not grow with p."""
-    chunk = COUNT_CHUNK
+    runs over COUNT_CHUNK values of x at a time, so it does not grow with p.
+    A and B are reduced mod p first: numpy would wrap or reject larger ints."""
+    A, B, chunk = A % p, B % p, COUNT_CHUNK
     sq = np.zeros(p, dtype=bool)
     half = p // 2 + 1                   # x and -x have the same square
     for lo in range(0, half, chunk):

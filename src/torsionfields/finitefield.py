@@ -569,7 +569,7 @@ class ExtField:
         return ExtFieldElement(self, self._ring.reduce(np.asarray(coeffs, dtype=np.int64)))
 
     def from_int(self, k: int) -> "ExtFieldElement":
-        return self.elt([k])
+        return self.elt([k % self.p])
 
     def nth_element(self, i: int) -> "ExtFieldElement":
         digits = []
@@ -915,8 +915,9 @@ def pow_elt(x, e: int):
     while e:
         if e & 1:
             result = result * x
-        x = x * x
         e >>= 1
+        if e:
+            x = x * x
     return result
 
 

@@ -20,8 +20,10 @@ proper "prematurely fixed by Frobenius" subgroups.  For composite m, a point
 is the sum of its prime-power parts and its degree is the lcm of theirs, so
 the sum of full-degree points of each part has degree n.  The torsion field
 is presented as F_q[x]/(g*), possibly extended by a square root of
-f(x1), and the second generator is drawn uniformly from E[m].  For m = 2 the
-field is the splitting field of the curve cubic.
+f(x1).  The second generator is the Frobenius image of P1 or, failing that,
+a uniform point of E[m]; a candidate completes the basis iff its Weil pairing
+with P1 is a primitive m-th root, and that root is kept.  For m = 2 the field
+is the splitting field of the curve cubic.
 
 The table of all i P1 + j P2 is built from -P = (x, -y): the multiples past
 m/2 are negations, and one batched inverse per class {+-(i, j), +-(i, -j)}
@@ -31,6 +33,7 @@ with 1 <= i, j <= m/2 serves the chords of both pairs.  At m = 13 that is
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -269,8 +272,6 @@ def _group_order_over_ext(q: int, A: int, B: int, n: int) -> int:
     s_prev, s_cur = 2, aq
     for _ in range(n - 1):
         s_prev, s_cur = s_cur, aq * s_cur - q * s_prev
-    if n == 0:
-        s_cur = 2
     return q ** n + 1 - s_cur
 
 
@@ -355,31 +356,26 @@ def _torsion_points(E: EllipticCurve, q, A, B, m, n, rng):
         yield P
 
 
-def _independent(E: EllipticCurve, P1, P2, m: int) -> bool:
-    """Do P1, P2 form a basis of E[m]?  (Reduction mod each prime factor.)
+def _primitive_pairing(E: EllipticCurve, P, Q, m: int):
+    """e_m(P, Q) if it is a primitive m-th root of unity, else None.
 
-    With Qi = (m/l) Pi, Q2 lies in <Q1> iff x(Q2) = x(i Q1) for some
-    1 <= i <= l/2, since x(-R) = x(R)."""
-    for ell in factor_int(m):
-        k = m // ell
-        Q1 = E.mul(P1, k)
-        Q2 = E.mul(P2, k)
-        if Q1 is None or Q2 is None:
-            return False
-        xs = {R[0].encode() for R in _multiples(E, Q1, ell)[1 : ell // 2 + 1]}
-        if Q2[0].encode() in xs:
-            return False
-    return True
+    This is the basis test: e_m(aR + cS, bR + dS) = e_m(R, S)^(ad - bc) for a
+    basis (R, S), so the root is primitive iff (P, Q) is a basis of E[m]."""
+    zeta = weil_pairing(E, P, Q, m)
+    one = E.field.one()
+    if pow_elt(zeta, m) != one or any(pow_elt(zeta, m // ell) == one for ell in factor_int(m)):
+        return None
+    return zeta
 
 
 def _complete_basis(E: EllipticCurve, P1, q, A, B, m, n, rng):
-    """Find P2 with (P1, P2) a basis of E[m]."""
-    cand = _frobenius_point(E.field, P1)
-    if _independent(E, P1, cand, m):
-        return cand
-    for cand in _torsion_points(E, q, A, B, m, n, rng):
-        if _independent(E, P1, cand, m):
-            return cand
+    """(P2, e_m(P1, P2)) for the first candidate P2 that completes a basis:
+    the Frobenius image of P1, then uniform points of E[m]."""
+    cands = _torsion_points(E, q, A, B, m, n, rng)
+    for cand in itertools.chain([_frobenius_point(E.field, P1)], cands):
+        zeta = _primitive_pairing(E, P1, cand, m)
+        if zeta is not None:
+            return cand, zeta
     raise TorsionConstructionError("no independent second generator found")
 
 
@@ -419,16 +415,17 @@ def _build_table(E: EllipticCurve, P1, P2, m: int):
     return table
 
 
-def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2) -> TorsionData:
-    """Table, Frobenius matrix and pairing root, checked in the basis (P1, P2)
-    and rebased to the canonical one: the first point of order m in the
-    sorted table and the first point after it that completes a basis.
+def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2, zeta) -> TorsionData:
+    """Table and Frobenius matrix, checked in the basis (P1, P2), and the
+    pairing root zeta = e_m(P1, P2), rebased to the canonical basis: the first
+    point of order m in the sorted table and the first point after it that
+    completes a basis.
 
-    The checks prove that P1 and P2 have exact order m.  The Miller loops of
-    the pairing raise unless m P1 = m P2 = O.  If (m/l) P1 = O for a prime
-    l | m, then e_m(P1, P2)^{m/l} = e_m((m/l) P1, P2) = 1, and the pairing
-    root is not primitive; likewise for P2.  The table's multiples raise
-    sooner, since m/l <= m/2.
+    zeta comes from the basis test ``_primitive_pairing``, which
+    ``_complete_basis`` (m >= 3) or ``torsion_data`` (m = 2) has passed.  Its
+    Miller loops raise unless m P1 = m P2 = O, and it rejects a basis point of
+    order below m.  The table's multiples raise on such a point too, since
+    its order divides m/l <= m/2 for a prime l | m.
     """
     table = _build_table(E, P1, P2, m)
     enc = {key: _encode_point(pt) for key, pt in table.items()}
@@ -443,12 +440,6 @@ def _finalize(q, A, B, m, n, E: EllipticCurve, P1, P2) -> TorsionData:
         raise TorsionConstructionError("pairing equivariance broken: det != q")
     if mat_order(mat, m) != n:
         raise TorsionConstructionError("frobenius order does not match field degree")
-
-    zeta = weil_pairing(E, P1, P2, m)
-    if pow_elt(zeta, m) != F.one() or any(
-        pow_elt(zeta, m // ell) == F.one() for ell in factor_int(m)
-    ):
-        raise TorsionConstructionError("pairing of a basis must be a primitive m-th root")
 
     candidates = sorted((code, key) for key, code in enc.items() if key != (0, 0))
     i1, j1 = next(key for _, key in candidates if math.gcd(*key, m) == 1)
@@ -546,7 +537,10 @@ def torsion_data(q: int, A: int, B: int, m: int) -> TorsionData:
     rng = random.Random(f"torsion-{q}-{A}-{B}-{m}")
     if m == 2:
         E, n, P1, P2 = _construct_two_torsion(q, A, B, rng)
+        zeta = _primitive_pairing(E, P1, P2, m)
+        if zeta is None:
+            raise TorsionConstructionError("pairing of a basis must be a primitive m-th root")
     else:
         E, n, P1 = _construct_via_division_poly(q, A, B, m, rng)
-        P2 = _complete_basis(E, P1, q, A, B, m, n, rng)
-    return _finalize(q, A, B, m, n, E, P1, P2)
+        P2, zeta = _complete_basis(E, P1, q, A, B, m, n, rng)
+    return _finalize(q, A, B, m, n, E, P1, P2, zeta)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -8,7 +9,7 @@ import textwrap
 import pytest
 
 import torsionfields
-from torsionfields.curve import DivisionPolynomials, discriminant
+from torsionfields.curve import DivisionPolynomials, count_points_prime, discriminant
 from torsionfields.finitefield import (
     ExtField,
     PrimeField,
@@ -24,9 +25,10 @@ from torsionfields.torsion import (
     MAX_Q,
     TorsionConstructionError,
     _construct_via_division_poly,
+    _encode_point,
     _finalize,
     _group_order_over_ext,
-    _independent,
+    _primitive_pairing,
     _primitive_x_poly,
     _torsion_points,
     torsion_data,
@@ -130,11 +132,13 @@ def test_construction_checks_survive_python_optimize():
     script = textwrap.dedent("""
         import random
         from torsionfields.torsion import (
-            TorsionConstructionError, _construct_via_division_poly, _finalize)
+            TorsionConstructionError, _construct_via_division_poly, _finalize,
+            weil_pairing)
         assert False, "asserts must be off under -O"
         E, n, P1 = _construct_via_division_poly(11, 2, 5, 5, random.Random(0))
+        P2 = E.mul(P1, 2)
         try:
-            _finalize(11, 2, 5, 5, n, E, P1, E.mul(P1, 2))
+            _finalize(11, 2, 5, 5, n, E, P1, P2, weil_pairing(E, P1, P2, 5))
         except TorsionConstructionError as exc:
             print(exc)
     """)
@@ -160,22 +164,24 @@ def _reference_field_choice(q, A, B, m):
     return n, g_star.tolist(), PrimeField if n == 1 else ExtField
 
 
-def _seeded_curves(count):
-    rng = random.Random(14)
+def _seeded_curves(count, seed=14, low_m=3):
+    rng = random.Random(seed)
     primes = primes_in_range(5, 150)
     while count:
-        m, q = rng.randrange(3, 14), rng.choice(primes)
+        m, q = rng.randrange(low_m, 14), rng.choice(primes)
         A, B = rng.randrange(q), rng.randrange(q)
         if m % q and discriminant(A, B) % q:
             count -= 1
             yield q, A, B, m
 
 
+# E[m] is rational over F_q, so F_q itself is the field
+RATIONAL = [(7, 0, 2, 3), (29, 4, 7, 4), (41, 6, 0, 5), (113, 5, 0, 7)]
+
+
 def test_field_choice_matches_the_full_factorization():
-    # E[m] is rational over F_q on the first four, so F_q itself is the field
-    rational = [(7, 0, 2, 3), (29, 4, 7, 4), (41, 6, 0, 5), (113, 5, 0, 7)]
     models = set()
-    for i, (q, A, B, m) in enumerate(rational + list(_seeded_curves(200))):
+    for i, (q, A, B, m) in enumerate(RATIONAL + list(_seeded_curves(200))):
         E, n, (x1, _) = _construct_via_division_poly(q, A, B, m, random.Random(i))
         F = E.field
         base = F.base if isinstance(F, QuadExt) else F
@@ -213,12 +219,13 @@ def test_basis_has_exact_order():
     (13, 1, 1, 4, 2), (23, 1, 7, 5, 5), (7, 1, 3, 9, 3), (7, 2, 3, 12, 2), (7, 2, 3, 12, 3),
 ])
 def test_finalize_rejects_a_basis_point_of_lower_order(q, A, B, m, ell):
-    # a basis point of order m/l must fail the checks of _finalize
+    # a basis point of order m/l fails the basis test and the checks of _finalize
     td = _data(q, A, B, m)
     E = td.curve
     for P1, P2 in ((E.mul(td.P1, ell), td.P2), (td.P1, E.mul(td.P2, ell))):
+        assert _primitive_pairing(E, P1, P2, m) is None
         with pytest.raises(TorsionConstructionError):
-            _finalize(q, A, B, m, td.n, E, P1, P2)
+            _finalize(q, A, B, m, td.n, E, P1, P2, weil_pairing(E, P1, P2, m))
 
 
 def test_zeta_field_degree_matches_cyclotomic_order():
@@ -275,16 +282,61 @@ def test_table_is_the_group():
 
 @pytest.mark.parametrize("q, A, B, m", [(7, 1, 1, 5), (7, 0, 1, 9), (5, 0, 1, 12)])
 def test_independent_is_the_determinant_test(q, A, B, m):
-    # a P1 + c P2 and b P1 + d P2 form a basis iff ad - bc is a unit mod m
+    # a P1 + c P2 and b P1 + d P2 form a basis iff ad - bc is a unit mod m,
+    # and then their pairing is zeta^(ad - bc)
     td = _data(q, A, B, m)
     rng = random.Random(m)
     seen = set()
     for _ in range(80):
         a, b, c, d = (rng.randrange(m) for _ in range(4))
         want = math.gcd(a * d - b * c, m) == 1
-        assert _independent(td.curve, td.point(a, c), td.point(b, d), m) == want
+        got = _primitive_pairing(td.curve, td.point(a, c), td.point(b, d), m)
+        assert (got is not None) == want
+        if want:
+            assert got == pow_elt(td.zeta, (a * d - b * c) % m)
         seen.add(want)
     assert seen == {True, False}
+
+
+def _construction_record(td):
+    """n, Frobenius, pairing root, table and decomposition, as one string."""
+    table = [_encode_point(td.table[key]) for key in sorted(td.table)]
+    decomp = sorted((key, code) for code, key in td._decomp.items())
+    return repr((td.n, td.frobenius, td.zeta.encode(), table, decomp))
+
+
+@pytest.mark.parametrize("q, A, B, m", [(7, 0, 2, 3), (13, 1, 1, 4), (5, 4, 0, 4)])
+def test_congruent_coefficients_give_the_same_construction(q, A, B, m):
+    # (A + kq, B - k'q) is the same curve over F_q, also where kq overflows
+    # int64; at (7, 0, 2, 3) the torsion is rational (PrimeField), then QuadExt
+    # and ExtField
+    want = _construction_record(_data(q, A, B, m))
+    N = count_points_prime(q, A, B)
+    for k, k2 in [(2**59, 0), (-(2**61), 1), (2**70, -(2**70)), (1, 2**64 + 3)]:
+        A2, B2 = A + k * q, B - k2 * q
+        assert count_points_prime(q, A2, B2) == N, (k, k2)
+        assert _construction_record(torsion_data(q, A2, B2, m)) == want, (k, k2)
+    F = _data(q, A, B, m).field
+    base = F.base if isinstance(F, QuadExt) else F
+    assert base.from_int(5 + 2**70 * q) == base.from_int(5)
+
+
+def test_construction_is_pinned():
+    # byte for byte over 101 seeded instances, m = 2..13 and all three field
+    # models; (7, 0, 2, 3) takes its second generator from the sampler
+    instances = RATIONAL + [(5, 1, 0, 2)] + list(_seeded_curves(96, seed=19, low_m=2))
+    h = hashlib.sha256()
+    models, ms = set(), set()
+    for q, A, B, m in instances:
+        td = torsion_data(q, A, B, m)
+        h.update(repr((q, A, B, m)).encode() + _construction_record(td).encode())
+        models.add(type(td.field).__name__)
+        ms.add(m)
+    assert models == {"PrimeField", "ExtField", "QuadExt"}
+    assert ms == set(range(2, 14))
+    assert h.hexdigest() == (
+        "d9dbae9f9364323a818aae54b7511bb401eb6b3ff9654f2b0001860dd07f76de"
+    )
 
 
 def test_decompose_roundtrip():
