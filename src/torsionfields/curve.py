@@ -6,6 +6,8 @@ and exact rationals.  Points are (x, y) tuples, with None for the point at
 infinity — nothing projective is needed here.
 ``EllipticCurve.chord`` is the one chord-and-tangent step: it returns the sum
 and the slope of its line, which ``add`` drops and the Miller loop evaluates.
+Scalar multiples are a binary ladder (``mul``) or, for scalars of many times
+log2 q bits, a Frobenius expansion (``frobenius_mul``).
 
 Division polynomials live in their classical y-stripped form over F_p: for odd
 index the polynomial is in x alone, for even index the stored polynomial is
@@ -65,7 +67,8 @@ class EllipticCurve:
         if x1 == x2:
             if y1 == -y2:
                 return None, None
-            lam = ((x1 * x1 + x1 * x1 + x1 * x1) + self.A) / (y1 + y1)
+            xx = x1 * x1
+            lam = (xx + xx + xx + self.A) / (y1 + y1)
         else:
             lam = (y2 - y1) / (x2 - x1)
         x3 = lam * lam - x1 - x2
@@ -89,6 +92,73 @@ class EllipticCurve:
             if k:
                 Q = self.add(Q, Q)
         return R
+
+    def frobenius_mul(self, P, k: int, trace: int):
+        """k P by the Frobenius expansion, for P in E(F) with E defined over
+        the prime field F_q and trace = q + 1 - |E(F_q)|.
+
+        The q-power Frobenius pi satisfies pi^2 = trace pi - q on E, so
+        k = sum c_i pi^i (``frobenius_digits``), and pi^n = 1 on E(F) for
+        n = [F : F_q] folds digit i onto i mod n.  The n folded digits, each
+        about q in size, are evaluated together on the conjugates pi^i(P)
+        from their signed binary digits: about log2 q doublings and
+        n log2(q) / 3 additions, where ``mul`` takes n log2 q doublings.
+        """
+        F = self.field
+        folded = [0] * F.degree
+        for i, c in enumerate(frobenius_digits(k, F.p, trace)):
+            folded[i % F.degree] += c
+        while folded and not folded[-1]:
+            folded.pop()
+        if P is None or not folded:
+            return None
+        adds = [[] for _ in range(max(abs(c) for c in folded).bit_length() + 1)]
+        R = P
+        for i, c in enumerate(folded):
+            if i:
+                R = (F.frobenius_power(R[0], 1), F.frobenius_power(R[1], 1))
+            for bit, d in enumerate(_naf(c)):
+                if d:
+                    adds[bit].append(R if d > 0 else self.neg(R))
+        acc = None
+        for points in reversed(adds):
+            acc = self.add(acc, acc)
+            for T in points:
+                acc = self.add(acc, T)
+        return acc
+
+
+def frobenius_digits(k: int, q: int, trace: int) -> list[int]:
+    """Digits c_0, c_1, ... with k = sum c_i pi^i in Z[pi], pi^2 = trace pi - q.
+
+    One division by pi: u + v pi = c + pi ((v + trace w) - w pi), where c is
+    the symmetric remainder of u mod q and w = (u - c) / q, since
+    q = pi (trace - pi).  It runs while the norm u^2 + trace uv + q v^2 is at
+    least q^2, which it divides by at least q / 2.25; the remainder u + v pi
+    then gives the last two digits.  Dividing on to u = v = 0 would cycle
+    for (q, trace) = (5, +-4) and (7, +-5).  The norm is positive definite,
+    so the loop ends, only for trace^2 < 4q, which Hasse's bound gives.
+    """
+    if trace * trace >= 4 * q:
+        raise ValueError(f"trace {trace} breaks the Hasse bound for q = {q}")
+    u, v, digits = k, 0, []
+    while u * u + trace * u * v + q * v * v >= q * q:
+        c = (u + q // 2) % q - q // 2
+        w = (u - c) // q
+        digits.append(c)
+        u, v = v + trace * w, -w
+    return digits + [u, v]
+
+
+def _naf(k: int) -> list[int]:
+    """Signed binary digits of k in {-1, 0, 1}, least significant first,
+    no two adjacent ones nonzero."""
+    digits = []
+    while k:
+        d = 2 - (k & 3) if k & 1 else 0
+        digits.append(d)
+        k = (k - d) >> 1
+    return digits
 
 
 # ---------------------------------------------------------------------------

@@ -955,19 +955,21 @@ def ts_sqrt(field, a):
         while m0 % 2 == 0:
             m0 //= 2
             s += 1
-        z = getattr(field, "_ts_nonresidue", None)
-        if z is None:
+        c = getattr(field, "_ts_nonresidue_m0", None)
+        if c is None:
             # prime-subfield elements are all squares in even-degree
             # extensions, so start the scan at the generator-like elements
             i = field.p if q != field.p else 2
             while True:
-                cand = field.nth_element(i)
-                if cand and not is_square_elt(cand):
-                    z = cand
+                z = field.nth_element(i)
+                if z and not is_square_elt(z):
                     break
                 i += 1
-            field._ts_nonresidue = z
-        m, c, t, r = s, pow_elt(z, m0), pow_elt(a, m0), pow_elt(a, (m0 + 1) // 2)
+            c = field._ts_nonresidue_m0 = pow_elt(z, m0)
+        # one exponentiation: r = a^((m0 + 1)/2) and t = a^m0
+        w = pow_elt(a, (m0 - 1) // 2)
+        r = a * w
+        m, t = s, r * w
         while t != one:
             i, tt = 0, t
             while tt != one:

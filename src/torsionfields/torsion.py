@@ -22,8 +22,12 @@ the sum of full-degree points of each part has degree n.  The torsion field
 is presented as F_q[x]/(g*), possibly extended by a square root of
 f(x1).  The second generator is the Frobenius image of P1 or, failing that,
 a uniform point of E[m]; a candidate completes the basis iff its Weil pairing
-with P1 is a primitive m-th root, and that root is kept.  For m = 2 the field
-is the splitting field of the curve cubic.
+with P1 is a primitive m-th root, and that root is kept.  The sampler takes a
+random point of E(F) into the m-primary part by the cofactor, a scalar of
+about n log2 q bits, written in powers of the q-power Frobenius pi (pi^2 =
+a pi - q for the trace a of E over F_q, and pi^n = 1 on E(F)), so it costs
+about log2 q doublings where a binary ladder took n log2 q.  For m = 2 the
+field is the splitting field of the curve cubic.
 
 The table of all i P1 + j P2 is built from -P = (x, -y): the multiples past
 m/2 are negations, and one batched inverse per class {+-(i, j), +-(i, -j)}
@@ -266,12 +270,12 @@ def _primitive_x_poly(D: DivisionPolynomials, m: int) -> np.ndarray:
     return xp
 
 
-def _group_order_over_ext(q: int, A: int, B: int, n: int) -> int:
-    """|E(F_{q^n})| from |E(F_q)| via the Frobenius trace recurrence."""
-    aq = q + 1 - count_points_prime(q, A, B)
-    s_prev, s_cur = 2, aq
+def _group_order_over_ext(q: int, a: int, n: int) -> int:
+    """|E(F_{q^n})| from the trace a = q + 1 - |E(F_q)| via the Frobenius
+    trace recurrence."""
+    s_prev, s_cur = 2, a
     for _ in range(n - 1):
-        s_prev, s_cur = s_cur, aq * s_cur - q * s_prev
+        s_prev, s_cur = s_cur, a * s_cur - q * s_prev
     return q ** n + 1 - s_cur
 
 
@@ -301,16 +305,21 @@ def _multiples(E: EllipticCurve, P, m: int) -> list:
 def _torsion_points(E: EllipticCurve, q, A, B, m, n, rng):
     """Yield uniformly random points of E[m], which must lie in E(F).
 
-    For each l^k || m, a random point is pushed into the l-part E(F)[l^v] ~
-    Z/l^a x Z/l^b (a >= b, v = a + b) by the cofactor |E(F)| / l^v.  There g
-    is a point of the largest order l^a seen so far.  While Q has order
-    l^c > l^b, l^(c-1) Q = j l^(a-1) g for some j in [1, l), and subtracting
-    j l^(a-c) g clears the lowest base-l digit of Q's <g>-component.  Once g
-    has the largest order, what is left is uniform in E[l^b], so l^(b-k) Q is
-    uniform in E[l^k].  The sum over the primes of m is uniform in E[m].
+    One point count over F_q gives the trace and with it N = |E(F)|.  A
+    random point R of E(F) times M, N without its primes of m, is uniform in
+    the m-primary part; M R is one ``EllipticCurve.frobenius_mul`` over the
+    conjugates of R, and the small multiples below are ``mul``.  For each
+    l^k || m, that point is pushed into the l-part E(F)[l^v] ~ Z/l^a x Z/l^b
+    (a >= b, v = a + b) by the cofactor (N / M) / l^v.  There g is a point of
+    the largest order l^a seen so far.  While Q has order l^c > l^b,
+    l^(c-1) Q = j l^(a-1) g for some j in [1, l), and subtracting j l^(a-c) g
+    clears the lowest base-l digit of Q's <g>-component.  Once g has the
+    largest order, what is left is uniform in E[l^b], so l^(b-k) Q is uniform
+    in E[l^k].  The sum over the primes of m is uniform in E[m].
     """
     F = E.field
-    N = _group_order_over_ext(q, A, B, n)
+    trace = q + 1 - count_points_prime(q, A, B)
+    N = _group_order_over_ext(q, trace, n)
     if N % (m * m):
         raise TorsionConstructionError("E[m] not rational over the built field")
     M, parts = N, []
@@ -332,7 +341,7 @@ def _torsion_points(E: EllipticCurve, q, A, B, m, n, rng):
             continue
         if rng.randrange(2):
             y = -y
-        R = E.mul((x, y), M)
+        R = E.frobenius_mul((x, y), M, trace)
         P = None
         for ell, k, v in parts:
             chain = _ell_chain(E, E.mul(R, (N // M) // ell ** v), ell)

@@ -1,9 +1,21 @@
 """Reference helpers that only the tests use: polynomials over F_p, points
-on curves over F_p, and field arithmetic by the textbook formulas."""
+on curves over F_p, field arithmetic by the textbook formulas, and the
+seeded torsion instances whose construction records the tests pin
+(``scripts/construction_hash.py`` hashes them too)."""
+
+import random
 
 import numpy as np
 
-from torsionfields.finitefield import poly_deg, poly_is_irreducible, poly_pow_mod, pow_elt
+from torsionfields.curve import discriminant
+from torsionfields.finitefield import (
+    poly_deg,
+    poly_is_irreducible,
+    poly_pow_mod,
+    pow_elt,
+    primes_in_range,
+)
+from torsionfields.torsion import _encode_point
 
 
 def poly_eval(a: np.ndarray, x: int, p: int) -> int:
@@ -57,6 +69,39 @@ def is_square_euler(x) -> bool:
     return pow_elt(x, (x.field.order() - 1) // 2) == x.field.one()
 
 
+def ts_sqrt_reference(field, a):
+    """Tonelli-Shanks with three exponentiations a call (z^m0, a^m0 and
+    a^((m0 + 1)/2), q - 1 = 2^s m0) and the first nonresidue z scanned
+    afresh; the canonical root (smaller encode()) or None."""
+    if not a:
+        return field.zero()
+    if not is_square_euler(a):
+        return None
+    q, one = field.order(), field.one()
+    if q % 4 == 3:
+        r = pow_elt(a, (q + 1) // 4)
+    else:
+        m0, s = q - 1, 0
+        while m0 % 2 == 0:
+            m0 //= 2
+            s += 1
+        i = field.p if q != field.p else 2
+        while is_square_euler(field.nth_element(i)):
+            i += 1
+        z = field.nth_element(i)
+        m, c, t, r = s, pow_elt(z, m0), pow_elt(a, m0), pow_elt(a, (m0 + 1) // 2)
+        while t != one:
+            i, tt = 0, t
+            while tt != one:
+                tt = tt * tt
+                i += 1
+            b = pow_elt(c, 1 << (m - i - 1))
+            m, c = i, b * b
+            t, r = t * c, r * b
+    assert r * r == a
+    return r if r.encode() <= (-r).encode() else -r
+
+
 # ---------------------------------------------------------------------------
 # points of E: y^2 = x^3 + Ax + B
 # ---------------------------------------------------------------------------
@@ -105,3 +150,27 @@ def enumerate_points(curve):
             pts.append((x, r))
             pts.append((x, -r))
     return pts
+
+
+# ---------------------------------------------------------------------------
+# seeded torsion instances
+# ---------------------------------------------------------------------------
+
+def seeded_curves(count, seed=14, low_m=3):
+    """(q, A, B, m) with q < 150 prime, low_m <= m <= 13, q not dividing m
+    and E nonsingular mod q, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    primes = primes_in_range(5, 150)
+    while count:
+        m, q = rng.randrange(low_m, 14), rng.choice(primes)
+        A, B = rng.randrange(q), rng.randrange(q)
+        if m % q and discriminant(A, B) % q:
+            count -= 1
+            yield q, A, B, m
+
+
+def construction_record(td):
+    """n, Frobenius, pairing root, table and decomposition, as one string."""
+    table = [_encode_point(td.table[key]) for key in sorted(td.table)]
+    decomp = sorted((key, code) for code, key in td._decomp.items())
+    return repr((td.n, td.frobenius, td.zeta.encode(), table, decomp))

@@ -1,4 +1,6 @@
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -14,9 +16,11 @@ from torsionfields.curve import (
     SingularCurveError,
     count_points_prime,
     discriminant,
+    frobenius_digits,
 )
-from torsionfields.finitefield import PrimeField, poly_deg
+from torsionfields.finitefield import PrimeField, QuadExt, is_prime, poly_deg, primes_in_range
 from torsionfields.gl2 import legendre
+from torsionfields.torsion import MAX_Q, _group_order_over_ext, torsion_data
 
 from polyhelpers import enumerate_points, is_on_curve, poly_eval, x_of_double
 
@@ -248,3 +252,82 @@ def test_psi_matches_multiplication_orders():
     g6 = D.torsion_x_polynomial(6)
     assert poly_eval(g6, 2, p) == 0
     assert poly_eval(g3, 2, p) != 0
+
+
+# ---------------------------------------------------------------------------
+# scalar multiples by the Frobenius expansion
+# ---------------------------------------------------------------------------
+
+def _trace(q, A, B):
+    return q + 1 - count_points_prime(q, A, B)
+
+
+def _random_point(E, rng):
+    F = E.field
+    while True:
+        x = F.nth_element(rng.randrange(F.order()))
+        y = F.sqrt(E.f(x))
+        if y is not None:
+            return x, y
+
+
+def test_frobenius_digits_sum_back_to_the_scalar():
+    # sum c_i pi^i = k in Z[pi], pi^2 = t pi - q, for every trace of every
+    # q < 200, the cycling pairs (5, +-4) and (7, +-5) among them
+    rng = random.Random(3)
+    for q in primes_in_range(5, 200):
+        for t in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1):
+            for k in [0, 1, -1, q - 1, q * q, rng.getrandbits(80), -rng.getrandbits(40)]:
+                u = v = 0
+                for c in reversed(frobenius_digits(k, q, t)):
+                    u, v = c - q * v, u + t * v
+                assert (u, v) == (k, 0), (q, t, k)
+    with pytest.raises(ValueError):
+        frobenius_digits(5, 5, 5)       # 25 >= 4 * 5: no Frobenius trace
+
+
+@pytest.mark.parametrize("q, A, B, m, t", [
+    (7, 0, 2, 3, -1),                   # PrimeField: E[3] is rational
+    (5, 4, 0, 4, -2),                   # ExtField
+    (13, 1, 1, 4, -4),                  # QuadExt
+    (47, 1, 0, 5, 0),                   # trace 0, a benchmark slot
+    # (q, t) where plain division by pi cycles
+    (5, 2, 0, 3, 4), (5, 3, 0, 3, -4), (7, 0, 4, 4, 5), (7, 0, 3, 3, -5),
+])
+def test_frobenius_mul_matches_the_ladder(q, A, B, m, t):
+    assert _trace(q, A, B) == t
+    td = torsion_data(q, A, B, m)
+    E, n = td.curve, td.n
+    N = _group_order_over_ext(q, t, n)
+    M = N
+    while math.gcd(M, m) > 1:
+        M //= math.gcd(M, m)
+    rng = random.Random(q * 100 + m)
+    scalars = [0, 1, N - 1, N, M] + [rng.getrandbits(80) for _ in range(4)]
+    assert any(len(frobenius_digits(k, q, t)) > n for k in scalars)  # a fold
+    for _ in range(3):
+        P = _random_point(E, rng)
+        assert E.mul(P, N) is None
+        for k in scalars:
+            assert E.frobenius_mul(P, k, t) == E.mul(P, k), k
+    assert E.frobenius_mul(None, 5, t) is None
+
+
+def test_frobenius_mul_near_the_largest_q():
+    # y^2 = x^3 - x at the largest q = 1 mod 4 that torsion_data accepts:
+    # q = a^2 + b^2 with a odd, and the trace is one of +-2a, +-2b
+    q = next(p for p in range(MAX_Q, 0, -1) if p % 4 == 1 and is_prime(p))
+    a = next(a for a in range(1, math.isqrt(q) + 1, 2) if math.isqrt(q - a * a) ** 2 == q - a * a)
+    b = math.isqrt(q - a * a)
+    F = PrimeField(q)
+    E = EllipticCurve(F, F.from_int(-1), F.zero())
+    rng = random.Random(8)
+    pts = [_random_point(E, rng) for _ in range(3)]
+    t, = (t for t in (2 * a, -2 * a, 2 * b, -2 * b) if all(E.mul(P, q + 1 - t) is None for P in pts))
+    nonsquare = next(F.elt(v) for v in range(2, q) if pow(v, (q - 1) // 2, q) == q - 1)
+    K = QuadExt(F, nonsquare)
+    for curve in (E, EllipticCurve(K, K.from_int(-1), K.zero())):
+        for _ in range(2):
+            P = _random_point(curve, rng)
+            for k in (q - 1, q * q + 1, rng.getrandbits(80)):
+                assert curve.frobenius_mul(P, k, t) == curve.mul(P, k), k

@@ -47,6 +47,7 @@ from polyhelpers import (
     is_square_mod,
     poly_eval,
     quad_mul_reference,
+    ts_sqrt_reference,
 )
 
 _X = np.array([0, 1], dtype=np.int64)
@@ -258,6 +259,31 @@ def test_ts_sqrt_ext_field():
         else:
             assert not is_square_elt(a)
     assert squares > 5  # about half should be squares
+
+
+def _sqrt_fields():
+    fields = [PrimeField(p) for p in (13, 17, 97, 65537)]
+    fields += [ExtField(p, find_irreducible(p, k)) for p, k in ((5, 2), (7, 2), (13, 2), (17, 3))]
+    for base in (PrimeField(13), fields[4]):
+        t = next(base.nth_element(i) for i in range(1, base.order())
+                 if not is_square_elt(base.nth_element(i)))
+        fields.append(QuadExt(base, t))     # sqrt by descent to the base
+    return fields
+
+
+@pytest.mark.parametrize("F", _sqrt_fields(), ids=repr)
+def test_sqrt_matches_three_exponentiation_tonelli_shanks(F):
+    # q = 1 mod 4 everywhere, with 2^s || q - 1 from s = 2 (13) to s = 16
+    # (65537); the quadratic lifts take their roots by descent to the base
+    rng = random.Random(F.order())
+    elems = [F.nth_element(i) for i in range(min(F.order(), 60))]
+    elems += [F.nth_element(rng.randrange(F.order())) for _ in range(60)]
+    roots = 0
+    for a in elems:
+        r = F.sqrt(a)
+        assert r == ts_sqrt_reference(F, a), a
+        roots += r is not None
+    assert 0 < roots < len(elems)
 
 
 def test_quad_ext_arithmetic_and_frobenius():
